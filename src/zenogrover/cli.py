@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -189,31 +189,18 @@ def cmd_run(config: RunConfig) -> int:
     return 0
 
 
-def _dt_point(args: tuple) -> tuple[float, int, float]:
-    N, dt, delta_theta, alpha, theta0, epsilon, steps = args
-    kwargs = {}
-    if delta_theta is not None:
-        kwargs["delta_theta"] = delta_theta
-    elif alpha is not None:
-        kwargs["alpha"] = alpha
-    params = make_params(N, dt, theta0=theta0, epsilon=epsilon, **kwargs)
-    n = steps if steps is not None else params.n_G
-    return dt, n, final_distance(params, n)
+def _dt_point(config: RunConfig) -> tuple[float, int, float]:
+    params = config.build_params()
+    n = config.steps if config.steps is not None else params.n_G
+    return config.delta_t, n, final_distance(params, n)
 
 
 def cmd_sweep_dt(config: RunConfig) -> int:
     """Distance from unitarity of the accumulated process across a dt grid."""
     if config.grid is None:
         raise ConfigError("sweep-dt needs --grid lo:hi:count")
-    if config.N is None:
-        raise ConfigError("missing database size (--n)")
     lo, hi, count = config.grid
-    grid = np.linspace(lo, hi, count)
-    work = [
-        (config.N, float(dt), config.delta_theta, config.alpha,
-         config.theta0, config.epsilon, config.steps)
-        for dt in grid
-    ]
+    work = [replace(config, delta_t=float(dt)) for dt in np.linspace(lo, hi, count)]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             rows = list(pool.map(_dt_point, work))
@@ -334,11 +321,11 @@ def cmd_verify(config: RunConfig) -> int:
     """Subspace-vs-fullspace equivalence suite plus unitary-limit regression."""
     steps = config.steps if config.steps is not None else 200
     if config.N is not None:
-        N = int(config.N)
-        if not (2 <= N <= MAX_FULLSPACE_N):
+        if not (2 <= config.N <= MAX_FULLSPACE_N):
             raise ConfigError(
-                f"verify supports 2 <= N <= {MAX_FULLSPACE_N}, got {N}"
+                f"verify supports 2 <= N <= {MAX_FULLSPACE_N}, got {config.N!r}"
             )
+        N = int(config.N)
         rng = np.random.default_rng(20260809)
         targets = rng.choice(N, size=min(3, N), replace=False)
         cases = [
@@ -524,7 +511,7 @@ def run_config(config: RunConfig) -> int:
     """Dispatch a resolved config; returns the process exit code."""
     try:
         return _COMMANDS[config.mode](config)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,12 +16,12 @@ biorthogonal eigensystem is exact.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .model import (
     SURVIVAL_FLOOR,
@@ -51,8 +51,8 @@ class EffectiveHamiltonian:
 
     ``time_label`` is the step midpoint (piecewise-constant extraction) or the
     continuous time the generator was evaluated at.  ``schur_fallback`` marks
-    extractions that hit a (near-)defective operator and took the Schur-form
-    logarithm instead of the eigendecomposition route.
+    extractions that hit a (near-)defective operator and took the closed-form
+    defective logarithm instead of the eigendecomposition route.
     """
 
     hermitian_part: np.ndarray
@@ -84,10 +84,13 @@ def extract_step_hamiltonian(
     """Invert V = exp(-i H dt) on the principal branch: H = (i/dt) log V.
 
     The logarithm is taken through the eigendecomposition of the (generally
-    non-normal) 2x2 operator.  A singular operator is rejected; a defective
-    one within tolerance falls back to the Schur-form logarithm and is
-    flagged.  Note the extracted generator is only defined modulo 2*pi/dt in
-    its eigenphases; compare dynamics, not raw entries, across branches.
+    non-normal) 2x2 operator.  A singular operator is rejected.  A defective
+    one within tolerance is flagged and takes the closed form
+    log V = log(mu) I + (V - mu I)/mu with mu = tr(V)/2, exact when
+    (V - mu I)^2 = 0 (Higham, Functions of Matrices, 2008, ch. 11); at an
+    eigenvalue split delta the error is O((delta/mu)^2).  Note the extracted
+    generator is only defined modulo 2*pi/dt in its eigenphases; compare
+    dynamics, not raw entries, across branches.
     """
     if isinstance(V, StepOperator):
         if time_label is None:
@@ -107,7 +110,8 @@ def extract_step_hamiltonian(
     if abs(lam[0] - lam[1]) <= 1e-9 * scale and not np.allclose(
         V, lam[0] * np.eye(2), atol=1e-12 * scale
     ):
-        logV = scipy.linalg.logm(V)
+        mu = 0.5 * (V[0, 0] + V[1, 1])
+        logV = cmath.log(mu) * np.eye(2) + (V - mu * np.eye(2)) / mu
         return _split((1j / delta_t) * logV, time_label, True)
 
     logV = (Wv * np.log(lam)) @ np.linalg.inv(Wv)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "SubspaceState",
     "StepOperator",
     "RunRecord",
-    "RunSample",
     "DampedTwoLevelModel",
     "make_params",
     "overlap_x",
@@ -98,12 +97,19 @@ def make_params(
     ``delta_t = pi*k + tau`` with integer ``k >= 1`` and ``|tau| < pi/2``.
     The ancilla rotation is given either directly (``delta_theta``) or through
     the dimensionless rate ``alpha`` via delta_theta = alpha * x * delta_t.
+    Every real-valued input must be finite.
 
     ``allow_short`` admits processes whose step duration exceeds the search
     time (n_G = 0); such parameter sets cannot use the default readout and are
     only meaningful with an explicit step count (the verification suite runs
     tiny databases through fixed step budgets this way).
     """
+    for name, value in (
+        ("N", N), ("delta_t", delta_t), ("tau", tau), ("delta_theta", delta_theta),
+        ("alpha", alpha), ("theta0", theta0), ("epsilon", epsilon),
+    ):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not N >= 2:
         raise ValueError(f"database size must satisfy N >= 2, got {N!r}")
     if not abs(theta0) < math.pi / 2:
@@ -195,18 +201,6 @@ class SubspaceState:
         """Squared overlap with the target direction."""
         return abs(self.amp_w) ** 2 / self.norm_sq
 
-    def after_step(self, op: "StepOperator") -> "SubspaceState":
-        """Apply one step operator, renormalize, fold the success probability
-        into the running survival."""
-        m = op.matrix
-        w = m[0, 0] * self.amp_w + m[0, 1] * self.amp_r
-        r = m[1, 0] * self.amp_w + m[1, 1] * self.amp_r
-        p = abs(w) ** 2 + abs(r) ** 2
-        if p == 0.0:
-            return SubspaceState(self.amp_w, self.amp_r, 0.0)
-        scale = 1.0 / math.sqrt(p)
-        return SubspaceState(w * scale, r * scale, self.survival * p)
-
 
 @dataclass(frozen=True)
 class StepOperator:
@@ -217,14 +211,6 @@ class StepOperator:
     c_j: float
     s_j: float
     distance: float  # distance from unitarity of ``matrix``
-
-
-class RunSample(NamedTuple):
-    step: int
-    t: float
-    fidelity: float
-    survival: float
-    distance: float
 
 
 @dataclass(frozen=True)
@@ -246,16 +232,6 @@ class RunRecord:
     distance: np.ndarray
     underflow: bool = False
     final_state: Optional[SubspaceState] = None
-
-    def samples(self) -> Iterator[RunSample]:
-        for i in range(len(self.steps)):
-            yield RunSample(
-                int(self.steps[i]),
-                float(self.times[i]),
-                float(self.fidelity[i]),
-                float(self.survival[i]),
-                float(self.distance[i]),
-            )
 
     @property
     def final_fidelity(self) -> float:

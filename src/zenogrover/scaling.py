@@ -99,6 +99,9 @@ def plan_scaled_instance(
     above the integer k2.  When the request collapses onto the reference
     (k2 == k1) the plan is the reference process itself.
     """
+    for name, value in (("N1", N1), ("tau", tau), ("N_r", N_r)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if N_r < N1:
         raise ValueError(f"requested size N_r={N_r!r} is below the reference N1={N1!r}")
     k2 = _snapped_ceil(scaling_k2(N1, k1, tau, N_r))

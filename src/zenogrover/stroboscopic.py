@@ -4,21 +4,30 @@ The joint (ancilla x database) evolution is block diagonal in the ancilla
 basis, so one evolve-and-project cycle acts on the two-dimensional search
 subspace spanned by the target |w> and the residual |r> as
 
-    V_j = cos(theta_{j-1}) cos(theta_j) exp(-i h_up dt)
-        + sin(theta_{j-1}) sin(theta_j) exp(-i h_dn dt),
+    V_j = C_j P + S_j Q,
+    C_j = cos(theta_{j-1}) cos(theta_j),  S_j = sin(theta_{j-1}) sin(theta_j),
 
-with h_up / h_dn the two ancilla blocks.  The engine accumulates the ordered
-product V(n) = V_n ... V_1, the survival probability P(n) = ||V(n)|s>||^2,
-the per-step renormalized state (source of the fidelity column), and the
-unitarity distance of the accumulated operator.
+with (P, Q) a fixed matrix pair per engine: the block propagators
+(exp(-i h_up dt), exp(-i h_dn dt)) of the two ancilla blocks for the exact
+engine, the small-overlap matrices for the approximate one.  Since
+C_j + S_j = cos(dtheta) and C_j - S_j = cos(theta_{j-1} + theta_j),
+
+    V_j = cos(dtheta) (P+Q)/2 + cos(phi_j) (P-Q)/2,
+    phi_j = 2 theta_0 + (2j-1) dtheta,
+
+which is two fixed matrices and one cosine array.  The engine accumulates the
+ordered product V(n) = V_n ... V_1, the survival probability
+||V(n)|s>||^2, the per-step renormalized state (source of the fidelity
+column), and the unitarity distance of the accumulated operator.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -105,21 +114,73 @@ def _cycle_weights(j: int, params: SearchParams) -> tuple[float, float]:
     return math.cos(th_prev) * math.cos(th_cur), math.sin(th_prev) * math.sin(th_cur)
 
 
+def _engine_matrices(
+    params: SearchParams, engine: str, blocks: Optional[BlockHamiltonians]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed pair (P, Q) of V_j = C_j P + S_j Q: the block propagators
+    for ``exact``, the matrices of :func:`approx_step_operator` for ``approx``."""
+    if engine == "exact":
+        if blocks is None:
+            blocks = subspace_basis_matrices(params)
+        return (
+            expm_2x2_hermitian(blocks.h_up, params.delta_t),
+            expm_2x2_hermitian(blocks.h_down, params.delta_t),
+        )
+    if engine == "approx":
+        x, dt = params.x, params.delta_t
+        damp = cmath.exp(-2j * dt)
+        ixdt = 1j * x * dt
+        half = 0.5 * x * (1.0 - damp)
+        return (
+            np.array([[1.0, ixdt], [ixdt, 1.0]], dtype=complex),
+            np.array([[1.0, -half], [-half, damp]], dtype=complex),
+        )
+    raise ValueError(f"unknown engine {engine!r}")
+
+
+def _cycle_entries(
+    params: SearchParams, P: np.ndarray, Q: np.ndarray, start: int, stop: int
+) -> np.ndarray:
+    """Row-major entries (v00, v01, v10, v11) of V_start, ..., V_{stop-1}."""
+    phi = 2.0 * params.theta0 + (2 * np.arange(start, stop) - 1) * params.delta_theta
+    mean = (0.5 * math.cos(params.delta_theta)) * (P + Q).ravel()
+    return mean + np.cos(phi)[:, None] * (0.5 * (P - Q)).ravel()
+
+
+#: steps per vectorised block of cycle entries; bounds memory for any n
+_BLOCK_STEPS = 1 << 14
+
+
+def _step_entries(
+    params: SearchParams, n: int, engine: str, blocks: Optional[BlockHamiltonians]
+) -> Iterator[list]:
+    """Entries [v00, v01, v10, v11] of V_1, ..., V_n in order as Python
+    complex numbers, built _BLOCK_STEPS steps at a time."""
+    P, Q = _engine_matrices(params, engine, blocks)
+    return itertools.chain.from_iterable(
+        _cycle_entries(params, P, Q, s, min(s + _BLOCK_STEPS, n + 1)).tolist()
+        for s in range(1, n + 1, _BLOCK_STEPS)
+    )
+
+
+def _step_operator(
+    j: int, params: SearchParams, engine: str, blocks: Optional[BlockHamiltonians]
+) -> StepOperator:
+    if j < 1:
+        raise ValueError(f"step index must be >= 1, got {j}")
+    P, Q = _engine_matrices(params, engine, blocks)
+    m = _cycle_entries(params, P, Q, j, j + 1).reshape(2, 2)
+    cj, sj = _cycle_weights(j, params)
+    return StepOperator(
+        matrix=m, step_index=j, c_j=cj, s_j=sj, distance=distance_from_unitarity(m)
+    )
+
+
 def exact_step_operator(
     j: int, params: SearchParams, blocks: Optional[BlockHamiltonians] = None
 ) -> StepOperator:
     """The exact cycle operator V_j = C_j exp(-i h_up dt) + S_j exp(-i h_dn dt)."""
-    if j < 1:
-        raise ValueError(f"step index must be >= 1, got {j}")
-    if blocks is None:
-        blocks = subspace_basis_matrices(params)
-    cj, sj = _cycle_weights(j, params)
-    m = cj * expm_2x2_hermitian(blocks.h_up, params.delta_t) + sj * expm_2x2_hermitian(
-        blocks.h_down, params.delta_t
-    )
-    return StepOperator(
-        matrix=m, step_index=j, c_j=cj, s_j=sj, distance=distance_from_unitarity(m)
-    )
+    return _step_operator(j, params, "exact", blocks)
 
 
 def approx_step_operator(j: int, params: SearchParams) -> StepOperator:
@@ -129,16 +190,7 @@ def approx_step_operator(j: int, params: SearchParams) -> StepOperator:
     i C_j x dt - (S_j x / 2)(1 - e^{-2i dt}) on both sides.  Valid regime is
     the caller's responsibility.
     """
-    if j < 1:
-        raise ValueError(f"step index must be >= 1, got {j}")
-    cj, sj = _cycle_weights(j, params)
-    x, dt = params.x, params.delta_t
-    damp = cmath.exp(-2j * dt)
-    off = 1j * cj * x * dt - 0.5 * sj * x * (1.0 - damp)
-    m = np.array([[cj + sj, off], [off, cj + sj * damp]], dtype=complex)
-    return StepOperator(
-        matrix=m, step_index=j, c_j=cj, s_j=sj, distance=distance_from_unitarity(m)
-    )
+    return _step_operator(j, params, "approx", None)
 
 
 def align_global_phase(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -149,34 +201,6 @@ def align_global_phase(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
     if abs(oth) == 0.0:
         return other
     return other * (ref / abs(ref)) * (abs(oth) / oth)
-
-
-def _step_entries_exact(params: SearchParams, blocks: BlockHamiltonians):
-    Eu = expm_2x2_hermitian(blocks.h_up, params.delta_t)
-    Ed = expm_2x2_hermitian(blocks.h_down, params.delta_t)
-
-    def entries(cj: float, sj: float):
-        return (
-            cj * Eu[0, 0] + sj * Ed[0, 0],
-            cj * Eu[0, 1] + sj * Ed[0, 1],
-            cj * Eu[1, 0] + sj * Ed[1, 0],
-            cj * Eu[1, 1] + sj * Ed[1, 1],
-        )
-
-    return entries
-
-
-def _step_entries_approx(params: SearchParams):
-    x, dt = params.x, params.delta_t
-    damp = cmath.exp(-2j * dt)
-    half = 0.5 * x * (1.0 - damp)
-    ixdt = 1j * x * dt
-
-    def entries(cj: float, sj: float):
-        off = cj * ixdt - sj * half
-        return cj + sj, off, off, cj + sj * damp
-
-    return entries
 
 
 def accumulate_process(
@@ -194,20 +218,9 @@ def accumulate_process(
     """
     if n < 1:
         raise ValueError(f"need at least one step, got n={n}")
-    if engine not in ("exact", "approx"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if blocks is None:
-        blocks = subspace_basis_matrices(params)
-    entries = (
-        _step_entries_exact(params, blocks)
-        if engine == "exact"
-        else _step_entries_approx(params)
-    )
+    entries = _step_entries(params, n, engine, blocks)
 
     x = params.x
-    theta0, dtheta = params.theta0, params.delta_theta
-    cos, sin = math.cos, math.sin
-
     # accumulated operator entries
     a, b = 1.0 + 0j, 0j
     c, d = 0j, 1.0 + 0j
@@ -227,13 +240,7 @@ def accumulate_process(
     underflow = False
     frozen_p = 0.0
 
-    for j in range(1, n + 1):
-        th_prev = theta0 + (j - 1) * dtheta
-        th_cur = theta0 + j * dtheta
-        cj = cos(th_prev) * cos(th_cur)
-        sj = sin(th_prev) * sin(th_cur)
-        v00, v01, v10, v11 = entries(cj, sj)
-
+    for j, (v00, v01, v10, v11) in enumerate(entries, 1):
         a, b, c, d = (
             v00 * a + v01 * c,
             v00 * b + v01 * d,
@@ -301,22 +308,16 @@ def final_distance(
     n: Optional[int] = None,
     blocks: Optional[BlockHamiltonians] = None,
 ) -> float:
-    """Unitarity distance d(V(n)) without trajectory recording (sweep helper)."""
+    """Unitarity distance d(V(n)) without trajectory recording (sweep helper).
+
+    Same entries and products as :func:`accumulate_process`, so the result
+    equals its last ``distance`` entry bit for bit.
+    """
     if n is None:
         n = params.n_G
-    if blocks is None:
-        blocks = subspace_basis_matrices(params)
-    entries = _step_entries_exact(params, blocks)
-    theta0, dtheta = params.theta0, params.delta_theta
-    cos, sin = math.cos, math.sin
     a, b = 1.0 + 0j, 0j
     c, d = 0j, 1.0 + 0j
-    for j in range(1, n + 1):
-        th_prev = theta0 + (j - 1) * dtheta
-        th_cur = theta0 + j * dtheta
-        cj = cos(th_prev) * cos(th_cur)
-        sj = sin(th_prev) * sin(th_cur)
-        v00, v01, v10, v11 = entries(cj, sj)
+    for v00, v01, v10, v11 in _step_entries(params, n, "exact", blocks):
         a, b, c, d = (
             v00 * a + v01 * c,
             v00 * b + v01 * d,

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zenogrover
 from zenogrover.cli import RunConfig, main, run_config
 
 
@@ -78,6 +83,29 @@ class TestRun:
         assert main(["run", "--n", "1e6", "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["run", "--dt", "1.0"]) == 2
         assert main(["run", "--n", "1.5", "--dt", "1.0"]) == 2
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "nan"],
+            ["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--eps", "inf"],
+            ["run", "--n", "inf", "--k", "1", "--tau", "0.2"],
+            ["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--out", "{blocker}/x.csv"],
+            ["verify", "--n", "inf"],
+            ["plan-scale", "--n", "1e6", "--k", "1", "--tau", "0.2", "--nr", "inf"],
+        ],
+        ids=["alpha-nan", "eps-inf", "n-inf", "unwritable-out", "verify-n-inf",
+             "plan-nr-inf"],
+    )
+    def test_exits_2_with_message(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setenv("ZENOGROVER_OUTDIR", str(tmp_path))
+        # a regular file where the output directory should be
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert main([a.format(blocker=blocker) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestPrintConfig:
@@ -222,6 +250,19 @@ class TestEffCompare:
         assert rc == 0
         meta = sidecar(out)
         assert meta["summary"]["max_dev_eff_exact"] <= 0.1
+
+
+class TestStartup:
+    def test_cli_import_does_not_load_scipy(self):
+        # the child must import the same package as this test process
+        env = dict(os.environ)
+        src = str(Path(zenogrover.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import zenogrover.cli, sys; assert 'scipy' not in sys.modules"],
+            env=env, check=True, timeout=60,
+        )
 
 
 class TestRoundTrip:

@@ -77,11 +77,13 @@ class TestExtract:
             extract_step_hamiltonian(np.zeros((2, 2), dtype=complex), 1.0)
 
     def test_defective_operator_takes_schur_fallback(self):
-        V = np.array([[0.9, 0.2], [0.0, 0.9]], dtype=complex)
-        h = extract_step_hamiltonian(V, 1.0)
-        assert h.schur_fallback
-        back = scipy.linalg.expm(-1j * h.matrix * 1.0)
-        np.testing.assert_allclose(back, V, atol=1e-10)
+        # exactly defective, then eigenvalues split by ~1e-10 of their scale
+        for split in (0.0, 1e-10):
+            V = np.array([[0.9 + split, 0.2], [0.0, 0.9]], dtype=complex)
+            h = extract_step_hamiltonian(V, 1.0)
+            assert h.schur_fallback
+            back = scipy.linalg.expm(-1j * h.matrix * 1.0)
+            np.testing.assert_allclose(back, V, atol=1e-10)
 
     def test_scalar_operator_is_not_defective(self):
         V = (0.5 + 0.1j) * np.eye(2)

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +12,6 @@ from zenogrover.model import (
     overlap_x,
     split_step_duration,
 )
-from zenogrover.stroboscopic import exact_step_operator
 
 
 class TestMakeParams:
@@ -62,6 +60,20 @@ class TestMakeParams:
     def test_rejects_theta0_out_of_range(self):
         with pytest.raises(ValueError):
             make_params(1e4, 1.0, theta0=math.pi / 2)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_inputs(self, bad):
+        for call in (
+            lambda: make_params(bad, 1.0),
+            lambda: make_params(1e6, bad),
+            lambda: make_params(1e6, k=1, tau=bad),
+            lambda: make_params(1e6, 1.0, delta_theta=bad),
+            lambda: make_params(1e6, 1.0, alpha=bad),
+            lambda: make_params(1e6, 1.0, theta0=bad),
+            lambda: make_params(1e6, 1.0, epsilon=bad),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                call()
 
     def test_derived_fields_reproducible_bitwise(self):
         p = make_params(123456.0, 2.5, delta_theta=1e-3, epsilon=0.01)
@@ -125,14 +137,3 @@ class TestSubspaceState:
         assert s.norm_sq == pytest.approx(1.0, abs=1e-15)
         assert s.survival == 1.0
         assert s.fidelity == pytest.approx(1e-4, rel=1e-12)
-
-    def test_after_step_tracks_survival(self):
-        p = make_params(1e4, math.pi + 0.2, delta_theta=0.05)
-        s = SubspaceState.initial(p)
-        survivals = [s.survival]
-        for j in range(1, 30):
-            s = s.after_step(exact_step_operator(j, p))
-            assert s.norm_sq == pytest.approx(1.0, abs=1e-12)
-            survivals.append(s.survival)
-        diffs = np.diff(survivals)
-        assert np.all(diffs <= 1e-12)

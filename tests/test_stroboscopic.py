@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zenogrover import stroboscopic
 from zenogrover.model import grover_fidelity_closed_form, make_params
 from zenogrover.stroboscopic import (
     accumulate_process,
@@ -100,6 +102,24 @@ class TestStepOperators:
         for j in (1, 2, 10, 500):
             op = exact_step_operator(j, p)
             assert op.c_j + op.s_j == pytest.approx(math.cos(p.delta_theta), abs=1e-15)
+
+    def test_cosine_form_matches_weighted_blocks(self):
+        # reference: V_j = C_j P + S_j Q with the per-step weights; the cosine
+        # form reorders the arithmetic, so allow a few double-precision ulps
+        p = make_params(1e6, math.pi + 0.2, delta_theta=0.013, theta0=0.3)
+        blocks = subspace_basis_matrices(p)
+        E_up = expm_2x2_hermitian(blocks.h_up, p.delta_t)
+        E_dn = expm_2x2_hermitian(blocks.h_down, p.delta_t)
+        damp = np.exp(-2j * p.delta_t)
+        for j in (1, 2, 77, 5000):
+            op = exact_step_operator(j, p)
+            ref = op.c_j * E_up + op.s_j * E_dn
+            np.testing.assert_allclose(op.matrix, ref, rtol=0, atol=4e-16)
+            op = approx_step_operator(j, p)
+            c, s, x, dt = op.c_j, op.s_j, p.x, p.delta_t
+            off = 1j * c * x * dt - 0.5 * s * x * (1 - damp)
+            ref = np.array([[c + s, off], [off, c + s * damp]])
+            np.testing.assert_allclose(op.matrix, ref, rtol=0, atol=4e-16)
 
     def test_near_unitary_at_pi_multiples(self):
         # dt = pi k: each cycle is close to cos(dtheta) times a unitary
@@ -268,6 +288,21 @@ class TestAccumulate:
         assert final_distance(p, 200) == pytest.approx(
             record.distance[-1], abs=1e-15
         )
+
+    def test_final_distance_streams_the_record_product(self, monkeypatch):
+        # across many blocks of step entries the result is the record's last
+        # distance bit for bit, and memory does not grow with n
+        monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", 64)
+        p = make_params(1e6, math.pi + 0.2, alpha=0.3)
+        _, record = accumulate_process(p, 1000)
+        assert final_distance(p, 1000) == record.distance[-1]
+        peaks = []
+        for n in (1000, 8000):
+            tracemalloc.start()
+            final_distance(p, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_engine_validation(self):
         p = make_params(1e4, 1.0)
