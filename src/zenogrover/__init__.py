@@ -44,7 +44,6 @@ from .effective import (
     damped_eigenanalysis,
     extract_step_hamiltonian,
     integrate_effective,
-    rk4_propagate,
     unitary_approx_fidelity,
 )
 from .scaling import (

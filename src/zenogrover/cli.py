@@ -201,8 +201,9 @@ def cmd_sweep_dt(config: RunConfig) -> int:
         raise ConfigError("sweep-dt needs --grid lo:hi:count")
     lo, hi, count = config.grid
     work = [replace(config, delta_t=float(dt)) for dt in np.linspace(lo, hi, count)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_dt_point, work))
     else:
         rows = [_dt_point(w) for w in work]
@@ -510,6 +511,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def run_config(config: RunConfig) -> int:
     """Dispatch a resolved config; returns the process exit code."""
     try:
+        if config.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {config.jobs}")
         return _COMMANDS[config.mode](config)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

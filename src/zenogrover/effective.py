@@ -5,7 +5,9 @@ Three complementary views of the same dynamics:
 * per-step generators extracted from cycle operators through the principal
   matrix logarithm, H = (i/dt) log V_j;
 * the continuous-time generator valid for small non-unitarity offset tau,
-  whose anti-Hermitian part damps only the residual direction; and
+  whose anti-Hermitian part damps only the residual direction, integrated
+  with a fourth-order commutator-free exponential scheme into one propagator
+  per protocol step, which runs through the stroboscopic trajectory loop; and
 * the closed-form unitary approximation at tau = 0, where the fidelity is
   sin^2 of an accumulated rotation angle.
 
@@ -18,19 +20,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .model import (
-    SURVIVAL_FLOOR,
-    DampedTwoLevelModel,
-    RunRecord,
-    SearchParams,
-    StepOperator,
-    SubspaceState,
-)
+from . import stroboscopic
+from .model import DampedTwoLevelModel, RunRecord, SearchParams, StepOperator
 
 __all__ = [
     "EffectiveHamiltonian",
@@ -39,7 +35,6 @@ __all__ = [
     "integrate_effective",
     "unitary_approx_fidelity",
     "damped_eigenanalysis",
-    "rk4_propagate",
     "damping_rate_estimate",
     "heuristic_regime",
 ]
@@ -118,6 +113,16 @@ def extract_step_hamiltonian(
     return _split((1j / delta_t) * logV, time_label, False)
 
 
+def _generator(params: SearchParams, t: Union[float, np.ndarray]) -> tuple:
+    """Entries (h01, h11) of the continuous generator at the times ``t``;
+    h00 = -eps and h10 = h01."""
+    axt = params.alpha * params.x * t
+    c2 = np.cos(axt) ** 2
+    s2 = np.sin(axt) ** 2
+    tau, dt = params.tau, params.delta_t
+    return -params.x * c2, 2.0 * (tau / dt) * s2 - 2j * (tau * tau / dt) * s2
+
+
 def continuous_heff(t: float, params: SearchParams) -> EffectiveHamiltonian:
     """Continuous generator for |tau| << 1, in the (|w>, |r>) basis:
 
@@ -128,120 +133,98 @@ def continuous_heff(t: float, params: SearchParams) -> EffectiveHamiltonian:
 
     with a x = dtheta/dt.  For tau = 0 the generator is Hermitian.
     """
-    x = params.x
-    axt = params.alpha * x * t
-    c2 = math.cos(axt) ** 2
-    s2 = math.sin(axt) ** 2
-    tau, dt = params.tau, params.delta_t
-    A = np.array(
-        [
-            [-params.epsilon, -x * c2],
-            [-x * c2, 2.0 * (tau / dt) * s2],
-        ]
-    ).astype(complex)
-    B = np.array([[0.0, 0.0], [0.0, 2.0 * (tau * tau / dt) * s2]]).astype(complex)
+    h01, h11 = _generator(params, t)
+    A = np.array([[-params.epsilon, h01], [h01, h11.real]], dtype=complex)
+    B = np.array([[0.0, 0.0], [0.0, -h11.imag]], dtype=complex)
     return EffectiveHamiltonian(hermitian_part=A, antihermitian_part=B, time_label=t)
-
-
-def rk4_propagate(
-    generator: Callable[[float], np.ndarray],
-    psi0: np.ndarray,
-    t_final: float,
-    n_steps: int,
-    sample_every: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate dpsi/dt = -i H(t) psi with the classical fixed-step
-    fourth-order scheme, no renormalization.
-
-    Returns (times, states) sampled every ``sample_every`` steps, including
-    t = 0 and t = t_final.
-    """
-    h = t_final / n_steps
-    psi = np.asarray(psi0, dtype=complex).copy()
-    times = [0.0]
-    states = [psi.copy()]
-    t = 0.0
-    for i in range(1, n_steps + 1):
-        k1 = -1j * (generator(t) @ psi)
-        k2 = -1j * (generator(t + 0.5 * h) @ (psi + 0.5 * h * k1))
-        k3 = -1j * (generator(t + 0.5 * h) @ (psi + 0.5 * h * k2))
-        k4 = -1j * (generator(t + h) @ (psi + h * k3))
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = i * h
-        if i % sample_every == 0 or i == n_steps:
-            times.append(t)
-            states.append(psi.copy())
-    return np.asarray(times), np.asarray(states)
 
 
 def _default_substeps(params: SearchParams) -> int:
     """Substeps per protocol step so that h <= min(dt, 1/(50 a x),
     0.1 dt / (1 + 2 tau^2/dt))."""
     dt = params.delta_t
-    h_max = dt
+    h_max = 0.1 * dt / (1.0 + 2.0 * params.tau**2 / dt)  # always below dt
     ax = params.alpha * params.x
     if ax > 0:
         h_max = min(h_max, 1.0 / (50.0 * ax))
-    h_max = min(h_max, 0.1 * dt / (1.0 + abs(2.0 * params.tau**2 / dt)))
     return max(1, int(math.ceil(dt / h_max)))
 
 
-def integrate_effective(
-    params: SearchParams,
-    t_final: Optional[float] = None,
-    sample_stride: int = 1,
-    max_step: Optional[float] = None,
-) -> RunRecord:
-    """Propagate |s> under the continuous generator and record f(t), P(t).
+def _expm_symmetric(h00, h01, h11, h: float) -> np.ndarray:
+    """exp(-i h [[h00, h01], [h01, h11]]) for entry arrays of length K, as
+    shape (K, 2, 2).  With -i h H = a I + T, T traceless and T^2 = w^2 I,
+    the exponential is e^a (cosh w I + sinh(w)/w T)."""
+    a = -0.5j * h * (h00 + h11)
+    t00 = -0.5j * h * (h00 - h11)
+    t01 = -1j * h * h01
+    w = np.sqrt(t00 * t00 + t01 * t01)  # cosh and sinh(w)/w are even in w
+    ea = np.exp(a)
+    ch = ea * np.cosh(w)
+    sh = ea * np.sinc(1j * w / math.pi)  # sinh(w)/w, exact at w = 0
+    entries = [ch + sh * t00, sh * t01, sh * t01, ch - sh * t00]
+    return np.stack(entries, -1).reshape(-1, 2, 2)
 
-    Sampling is aligned with protocol steps (every ``sample_stride`` cycles);
-    P(t) = ||psi(t)||^2 from the unnormalized state, f(t) from the normalized
-    one.  If the integration grows the norm by more than 1e-6 over any
-    sampling interval (impossible for the exact flow with real tau), the step
-    is halved and the run retried, at most 6 times.
+
+def _ordered_product(F: np.ndarray) -> np.ndarray:
+    """F[:, K-1] ... F[:, 1] F[:, 0] for factors of shape (steps, K, 2, 2),
+    multiplied out pairwise in ceil(log2 K) rounds."""
+    while F.shape[1] > 1:
+        even = 2 * (F.shape[1] // 2)
+        L, R = F[:, 1:even:2], F[:, 0:even:2]
+        LR = L[..., :1] * R[..., :1, :] + L[..., 1:] * R[..., 1:, :]
+        F = np.concatenate([LR, F[:, even:]], axis=1)
+    return F[:, 0]
+
+
+def _effective_entries(params: SearchParams, n: int) -> Iterator[list]:
+    """Entries [v00, v01, v10, v11] of the propagators of protocol steps
+    1, ..., n under the continuous generator, in order.
+
+    Each step is m = _default_substeps(params) substeps of the fourth-order
+    commutator-free scheme: exp(h(w2 A1 + w1 A2)), then exp(h(w1 A1 + w2 A2)),
+    with A = -iH at the Gauss nodes 1/2 -+ sqrt(3)/6 of the substep and
+    w = 1/4 -+ sqrt(3)/6 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+    (2009); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)).  Blocks
+    hold at most stroboscopic._BLOCK_STEPS substeps.
+    """
+    m = _default_substeps(params)
+    h = params.delta_t / m
+    r3 = math.sqrt(3.0) / 6.0
+    w1, w2 = 0.25 - r3, 0.25 + r3
+    per_block = max(1, stroboscopic._BLOCK_STEPS // m)
+    for first in range(0, n, per_block):
+        count = min(per_block, n - first)
+        k = np.arange(first * m, (first + count) * m)
+        (p1, q1), (p2, q2) = (
+            _generator(params, (k + c) * h) for c in (0.5 - r3, 0.5 + r3)
+        )
+        early, late = (  # h00 = -eps at both nodes, and w1 + w2 = 1/2
+            _expm_symmetric(-0.5 * params.epsilon, u * p1 + v * p2, u * q1 + v * q2, h)
+            for u, v in ((w2, w1), (w1, w2))
+        )
+        factors = np.stack([early, late], 1).reshape(count, 2 * m, 2, 2)
+        yield from _ordered_product(factors).reshape(count, 4).tolist()
+
+
+def integrate_effective(
+    params: SearchParams, t_final: Optional[float] = None
+) -> RunRecord:
+    """Propagate |s> under the continuous generator and record f(t), P(t)
+    at every protocol step up to t_final (default: the readout time).
+
+    The step propagators come from :func:`_effective_entries` and run through
+    the same trajectory loop as the stroboscopic engines, so survival is the
+    norm of the raw state (frozen at 0 below SURVIVAL_FLOOR) and fidelity
+    comes from the renormalized one.  The engine tracks no unitarity
+    distance; that column is NaN.
     """
     if t_final is None:
         t_final = params.readout_time()
     if not t_final > 0:
         raise ValueError(f"t_final must be positive, got {t_final!r}")
-    n_samples = max(1, int(round(t_final / (params.delta_t * sample_stride))))
-    span = n_samples * params.delta_t * sample_stride
-
-    substeps = _default_substeps(params) * sample_stride
-    if max_step is not None:
-        substeps = max(1, int(math.ceil(params.delta_t * sample_stride / max_step)))
-
-    x = params.x
-    psi0 = np.array([x, math.sqrt(1.0 - x * x)], dtype=complex)
-    gen = lambda t: continuous_heff(t, params).matrix
-
-    for attempt in range(7):
-        times, states = rk4_propagate(
-            gen, psi0, span, n_samples * substeps, sample_every=substeps
-        )
-        P = np.einsum("ij,ij->i", states.conj(), states).real
-        growth = np.diff(P)
-        if growth.size == 0 or np.max(growth) <= 1e-6:
-            break
-        substeps *= 2
-    else:
-        raise RuntimeError(
-            "integration kept growing the norm after 6 step halvings"
-        )
-
-    fid = np.abs(states[:, 0]) ** 2 / P
-    steps = np.arange(n_samples + 1) * sample_stride
-    final = states[-1] / math.sqrt(P[-1])
-    return RunRecord(
-        params=params,
-        steps=steps,
-        times=times,
-        fidelity=fid,
-        survival=P,
-        distance=np.full(n_samples + 1, np.nan),
-        underflow=bool(P[-1] < SURVIVAL_FLOOR),
-        final_state=SubspaceState(complex(final[0]), complex(final[1]), float(P[-1])),
-    )
+    n = max(1, int(round(t_final / params.delta_t)))
+    _, record = stroboscopic._propagate(params, _effective_entries(params, n), n)
+    return replace(record, distance=np.full(n + 1, np.nan))
 
 
 def unitary_approx_fidelity(n: int, params: SearchParams) -> float:

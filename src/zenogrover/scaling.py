@@ -266,7 +266,8 @@ def quality_factor_sweep(
         )
         for r in eps_over_x
     ]
-    if jobs <= 1:
+    workers = min(jobs, len(work))
+    if workers <= 1:
         return [_quality_point(w) for w in work]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_quality_point, work))

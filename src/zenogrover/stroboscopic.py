@@ -18,7 +18,9 @@ C_j + S_j = cos(dtheta) and C_j - S_j = cos(theta_{j-1} + theta_j),
 which is two fixed matrices and one cosine array.  The engine accumulates the
 ordered product V(n) = V_n ... V_1, the survival probability
 ||V(n)|s>||^2, the per-step renormalized state (source of the fidelity
-column), and the unitarity distance of the accumulated operator.
+column), and the unitarity distance of the accumulated operator.  The
+continuous effective engine feeds its own step propagators through the same
+loop.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -218,8 +220,14 @@ def accumulate_process(
     """
     if n < 1:
         raise ValueError(f"need at least one step, got n={n}")
-    entries = _step_entries(params, n, engine, blocks)
+    return _propagate(params, _step_entries(params, n, engine, blocks), n)
 
+
+def _propagate(
+    params: SearchParams, entries: Iterable[list], n: int
+) -> tuple[np.ndarray, RunRecord]:
+    """The one trajectory loop: multiply out the step operators whose entries
+    [v00, v01, v10, v11] ``entries`` yields in order, starting from |s>."""
     x = params.x
     # accumulated operator entries
     a, b = 1.0 + 0j, 0j
@@ -315,6 +323,8 @@ def final_distance(
     """
     if n is None:
         n = params.n_G
+    if n < 1:
+        raise ValueError(f"need at least one step, got n={n}")
     a, b = 1.0 + 0j, 0j
     c, d = 0j, 1.0 + 0j
     for v00, v01, v10, v11 in _step_entries(params, n, "exact", blocks):

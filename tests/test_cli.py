@@ -95,9 +95,13 @@ class TestBadInput:
             ["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--out", "{blocker}/x.csv"],
             ["verify", "--n", "inf"],
             ["plan-scale", "--n", "1e6", "--k", "1", "--tau", "0.2", "--nr", "inf"],
+            ["sweep-dt", "--n", "1e6", "--alpha", "0.3", "--grid", "3:3.2:3",
+             "--steps", "0"],
+            ["sweep-dt", "--n", "1e6", "--alpha", "0.3", "--grid", "3:3.2:3",
+             "--jobs", "0"],
         ],
         ids=["alpha-nan", "eps-inf", "n-inf", "unwritable-out", "verify-n-inf",
-             "plan-nr-inf"],
+             "plan-nr-inf", "sweep-dt-steps-0", "jobs-0"],
     )
     def test_exits_2_with_message(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setenv("ZENOGROVER_OUTDIR", str(tmp_path))
@@ -106,6 +110,38 @@ class TestBadInput:
         blocker.write_text("")
         assert main([a.format(blocker=blocker) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestJobs:
+    def test_pool_is_capped_at_the_grid_size(self, tmp_path, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            """Records the requested pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(zenogrover.cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(zenogrover.scaling, "ProcessPoolExecutor", SerialPool)
+        assert main([
+            "sweep-dt", "--n", "1e5", "--grid", "2.9:3.4:3", "--alpha", "0.3",
+            "--jobs", "64", "--out", str(tmp_path / "dt.csv"),
+        ]) == 0
+        assert main([
+            "sweep-eps", "--n", "1e8", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
+            "--grid=-1:1:3", "--jobs", "64", "--out", str(tmp_path / "eps.csv"),
+        ]) == 0
+        assert workers == [3, 3]
 
 
 class TestPrintConfig:

@@ -13,9 +13,9 @@ from zenogrover.effective import (
     extract_step_hamiltonian,
     heuristic_regime,
     integrate_effective,
-    rk4_propagate,
     unitary_approx_fidelity,
 )
+from zenogrover import stroboscopic
 from zenogrover.model import make_params, overlap_x
 from zenogrover.stroboscopic import (
     exact_step_operator,
@@ -160,13 +160,6 @@ class TestIntegrate:
         tail = record.fidelity[record.steps >= int(1.5 * p.n_G)]
         assert np.all(np.diff(tail) >= -1e-6)
 
-    def test_coarse_step_retry_recovers(self):
-        p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
-        fine = integrate_effective(p, t_final=50 * p.delta_t)
-        coarse = integrate_effective(p, t_final=50 * p.delta_t, max_step=p.delta_t)
-        assert abs(fine.final_fidelity - coarse.final_fidelity) < 1e-4
-        assert np.all(np.diff(coarse.survival) <= 1e-6)
-
     def test_tracks_exact_engine_with_detuning(self):
         # the smooth effective description leads the exact staircase through
         # the saturation ramp; measured peak gap is 0.081 at these parameters
@@ -189,14 +182,74 @@ class TestIntegrate:
             integrate_effective(p, t_final=0.0)
 
 
-class TestRk4:
-    def test_constant_generator_matches_expm(self):
-        H = np.array([[0.2, -0.5], [-0.5, -0.1 - 0.3j]])
-        psi0 = np.array([1.0, 0.0], dtype=complex)
-        t_final = 4.0
-        times, states = rk4_propagate(lambda t: H, psi0, t_final, 4000)
-        expected = scipy.linalg.expm(-1j * H * t_final) @ psi0
-        np.testing.assert_allclose(states[-1], expected, atol=1e-10)
+def _rk4_reference(p, n, per_step=400):
+    """f and P after each of n protocol steps under the continuous generator,
+    integrated with classical RK4 at h = dt/per_step.  For the linear flow
+    psi' = -i H(t) psi one RK4 step is a fixed 2x2 matrix, so the substeps
+    are built a block of protocol steps at a time and multiplied out."""
+    x, dt = p.x, p.delta_t
+    h = dt / per_step
+
+    def minus_i_h(t):
+        c2 = np.cos(p.alpha * x * t) ** 2
+        s2 = np.sin(p.alpha * x * t) ** 2
+        H = np.zeros(t.shape + (2, 2), dtype=complex)
+        H[:, 0, 0] = -p.epsilon
+        H[:, 0, 1] = H[:, 1, 0] = -x * c2
+        H[:, 1, 1] = (2 * p.tau / dt) * s2 - 2j * (p.tau**2 / dt) * s2
+        return -1j * H
+
+    eye = np.eye(2)
+    psi = np.array([x, math.sqrt(1 - x * x)], dtype=complex)
+    states = [psi]
+    for first in range(0, n, 50):
+        count = min(50, n - first)
+        t = np.arange(first * per_step, (first + count) * per_step) * h
+        a0, am, a1 = minus_i_h(t), minus_i_h(t + 0.5 * h), minus_i_h(t + h)
+        k2 = am @ (eye + 0.5 * h * a0)
+        k3 = am @ (eye + 0.5 * h * k2)
+        k4 = a1 @ (eye + h * k3)
+        R = (eye + (h / 6) * (a0 + 2 * k2 + 2 * k3 + k4)).reshape(count, per_step, 2, 2)
+        M = R[:, 0]
+        for j in range(1, per_step):
+            M = R[:, j] @ M
+        for step in M:
+            psi = step @ psi
+            states.append(psi)
+    states = np.array(states)
+    P = np.sum(np.abs(states) ** 2, axis=1)
+    return np.abs(states[:, 0]) ** 2 / P, P
+
+
+class TestFineStepReference:
+    @pytest.mark.parametrize(
+        "N, k, tau, alpha, eps, steps",
+        [
+            (1e6, 1, 0.2, 0.3, 0.0, None),
+            # the detuned_m1 recipe
+            (1000000162505052417.0, 1063662, 0.2, 0.3, 3.4641013336707815e-09, None),
+            (16900.0, 2, 0.271, 0.93, 0.0, None),
+            (1e8, 1, 1.2, 0.3, 0.0, 470),
+        ],
+        ids=["N1e6", "detuned_m1", "N16900", "N1e8-tau1.2"],
+    )
+    def test_matches_fine_step_reference(self, N, k, tau, alpha, eps, steps):
+        p = make_params(N, k=k, tau=tau, alpha=alpha, epsilon=eps)
+        n = steps if steps is not None else p.n_G
+        record = integrate_effective(p, t_final=n * p.delta_t)
+        f_ref, P_ref = _rk4_reference(p, n)
+        assert np.max(np.abs(record.fidelity - f_ref)) <= 1e-10
+        assert np.max(np.abs(record.survival - P_ref)) <= 1e-10
+
+    def test_record_does_not_depend_on_block_size(self, monkeypatch):
+        # 11 substeps per protocol step: blocks of 40 substeps hold 3 steps
+        p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
+        whole = integrate_effective(p)
+        monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", 40)
+        blocked = integrate_effective(p)
+        for column in ("times", "fidelity", "survival"):
+            assert np.array_equal(getattr(whole, column), getattr(blocked, column))
+        assert whole.final_state == blocked.final_state
 
 
 class TestUnitaryApprox:
@@ -290,14 +343,14 @@ class TestDampedModel:
 class TestDampedMapping:
     def test_frozen_envelope_matches_closed_form(self):
         # time-independent generator with the damping frozen at full strength:
-        # the integrator must agree with the biorthogonal closed form
+        # its exact propagator must agree with the biorthogonal closed form
         p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
         x = p.x
         gamma = 2.0 * p.tau**2 / p.delta_t
         h = np.array([[0.0, -x], [-x, -1j * gamma]])
         psi0 = np.array([x, math.sqrt(1 - x * x)], dtype=complex)
         t_final = 2000.0
-        _, states = rk4_propagate(lambda t: h, psi0, t_final, 4000)
+        final = scipy.linalg.expm(-1j * h * t_final) @ psi0
 
         m = damped_eigenanalysis(x, gamma)
         coeff = m.left_vectors.conj().T @ psi0
@@ -305,7 +358,7 @@ class TestDampedMapping:
             m.right_vectors
             @ (np.exp(-1j * np.array(m.eigenvalues) * t_final) * coeff)
         )
-        np.testing.assert_allclose(states[-1], closed, atol=1e-8)
+        np.testing.assert_allclose(final, closed, atol=1e-8)
 
     def test_regime_reporting(self):
         saturating = make_params(1e6, k=1, tau=0.2, alpha=0.3)
