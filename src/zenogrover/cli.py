@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -26,22 +25,20 @@ import numpy as np
 
 from . import __version__
 from .effective import integrate_effective, unitary_approx_fidelity
-from .fullspace import (
-    EquivalenceCase,
-    MAX_FULLSPACE_N,
-    default_equivalence_cases,
-    equivalence_suite,
-)
+from .fullspace import MAX_FULLSPACE_N, default_equivalence_cases, equivalence_suite
 from .model import SearchParams, grover_fidelity_closed_form, make_params
-from .scaling import plan_scaled_instance, quality_factor_sweep, scaled_process_check
+from .scaling import (
+    parallel_map,
+    plan_scaled_instance,
+    quality_factor_sweep,
+    scaled_process_check,
+)
 from .stroboscopic import BlockHamiltonians, final_distance, run_protocol
 
 __all__ = ["RunConfig", "cmd_run", "cmd_sweep_dt", "cmd_sweep_eps",
            "cmd_plan_scale", "cmd_verify", "cmd_eff_compare", "main"]
 
 OUTDIR_ENV = "ZENOGROVER_OUTDIR"
-
-MODES = ("run", "sweep-dt", "sweep-eps", "plan-scale", "verify", "eff-compare")
 
 
 class ConfigError(ValueError):
@@ -199,22 +196,13 @@ def cmd_sweep_dt(config: RunConfig) -> int:
     """Distance from unitarity of the accumulated process across a dt grid."""
     if config.grid is None:
         raise ConfigError("sweep-dt needs --grid lo:hi:count")
-    lo, hi, count = config.grid
-    work = [replace(config, delta_t=float(dt)) for dt in np.linspace(lo, hi, count)]
-    workers = min(config.jobs, len(work))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_dt_point, work))
-    else:
-        rows = [_dt_point(w) for w in work]
-    dts = [r[0] for r in rows]
-    ns = [r[1] for r in rows]
-    ds = [r[2] for r in rows]
+    work = [replace(config, delta_t=float(dt)) for dt in np.linspace(*config.grid)]
+    dts, ns, ds = zip(*parallel_map(_dt_point, work, config.jobs))
     imin = int(np.argmin(ds))
     summary = {
         "min_distance": ds[imin],
         "argmin_delta_t": dts[imin],
-        "points": len(rows),
+        "points": len(dts),
     }
     path = _write_table(config, {"delta_t": dts, "n": ns, "d": ds}, summary)
     print(f"wrote {path} (min d={_fmt(ds[imin])} at dt={_fmt(dts[imin])})")
@@ -226,9 +214,7 @@ def cmd_sweep_eps(config: RunConfig) -> int:
     if config.grid is None:
         raise ConfigError("sweep-eps needs --grid lo:hi:count (in units of x)")
     params = config.build_params()
-    lo, hi, count = config.grid
-    ratios = np.linspace(lo, hi, count)
-    reports = quality_factor_sweep(params, ratios, jobs=config.jobs)
+    reports = quality_factor_sweep(params, np.linspace(*config.grid), jobs=config.jobs)
     best = max(
         (r for r in reports if not r.divergent),
         key=lambda r: r.Q,
@@ -321,25 +307,16 @@ def _fault_transform(name: str):
 def cmd_verify(config: RunConfig) -> int:
     """Subspace-vs-fullspace equivalence suite plus unitary-limit regression."""
     steps = config.steps if config.steps is not None else 200
-    if config.N is not None:
+    if config.N is None:
+        cases = default_equivalence_cases(steps=steps)
+    else:
         if not (2 <= config.N <= MAX_FULLSPACE_N):
             raise ConfigError(
                 f"verify supports 2 <= N <= {MAX_FULLSPACE_N}, got {config.N!r}"
             )
-        N = int(config.N)
-        rng = np.random.default_rng(20260809)
-        targets = rng.choice(N, size=min(3, N), replace=False)
-        cases = [
-            EquivalenceCase(N, int(w), dt, dth, steps=steps)
-            for w in targets
-            for dt in (1.0, math.pi, math.pi + 0.2)
-            for dth in (0.0, 0.001, 0.01)
-        ]
-    else:
-        cases = [
-            EquivalenceCase(c.N, c.w, c.delta_t, c.delta_theta, steps=steps)
-            for c in default_equivalence_cases()
-        ]
+        if not float(config.N).is_integer():
+            raise ConfigError(f"verify needs an integer N, got {config.N!r}")
+        cases = default_equivalence_cases(sizes=(int(config.N),), steps=steps)
 
     transform = None
     if config.inject_fault is not None:
@@ -433,16 +410,6 @@ def cmd_eff_compare(config: RunConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "run": cmd_run,
-    "sweep-dt": cmd_sweep_dt,
-    "sweep-eps": cmd_sweep_eps,
-    "plan-scale": cmd_plan_scale,
-    "verify": cmd_verify,
-    "eff-compare": cmd_eff_compare,
-}
-
-
 def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -453,6 +420,40 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, count
 
 
+#: every flag that sets a config value: flag -> (RunConfig field, argparse
+#: options).  Defaults live in RunConfig only.
+_FLAGS = {
+    "n": ("N", dict(type=float, help="database size N")),
+    "dt": ("delta_t", dict(type=float, help="step duration")),
+    "k": ("k", dict(type=int, help="integer multiplier in dt = pi k + tau")),
+    "tau": ("tau", dict(type=float, help="offset in dt = pi k + tau")),
+    "alpha": ("alpha", dict(type=float, help="rotation rate; sets dtheta = alpha x dt")),
+    "dtheta": ("delta_theta", dict(type=float, help="per-step ancilla rotation")),
+    "theta0": ("theta0", dict(type=float, help="initial ancilla angle")),
+    "eps": ("epsilon", dict(type=float, help="target-term detuning")),
+    "steps": ("steps", dict(type=int, help="step count (default n_G; verify: 200)")),
+    "engine": ("engine", dict(choices=("exact", "approx", "effective"))),
+    "grid": ("grid", dict(type=_parse_grid, metavar="LO:HI:COUNT",
+                          help="sweep grid: dt for sweep-dt, eps/x for sweep-eps")),
+    "nr": ("N_requested", dict(type=float, help="requested database size")),
+    "check": ("check", dict(action="store_true", help="run both processes and compare")),
+    "inject-fault": ("inject_fault", dict(help=argparse.SUPPRESS)),
+    "out": ("out", dict(help="output path")),
+    "jobs": ("jobs", dict(type=int, help="parallel workers for sweeps")),
+}
+
+#: mode -> (command, the flags it reads); every mode also takes --out, --jobs
+#: and --print-config
+_COMMANDS = {
+    "run": (cmd_run, "n dt k tau alpha dtheta theta0 eps steps engine"),
+    "sweep-dt": (cmd_sweep_dt, "n alpha dtheta theta0 eps steps grid"),
+    "sweep-eps": (cmd_sweep_eps, "n dt k tau alpha dtheta theta0 grid"),
+    "plan-scale": (cmd_plan_scale, "n k tau alpha nr check"),
+    "verify": (cmd_verify, "n steps inject-fault"),
+    "eff-compare": (cmd_eff_compare, "n dt k tau alpha dtheta theta0 eps steps"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zenogrover",
@@ -460,52 +461,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        p = sub.add_parser(mode)
-        p.add_argument("--n", type=float, default=None, help="database size N")
-        p.add_argument("--dt", type=float, default=None, help="step duration")
-        p.add_argument("--k", type=int, default=None, help="integer multiplier in dt = pi k + tau")
-        p.add_argument("--tau", type=float, default=None, help="offset in dt = pi k + tau")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="rotation rate; sets dtheta = alpha x dt")
-        p.add_argument("--dtheta", type=float, default=None, help="per-step ancilla rotation")
-        p.add_argument("--theta0", type=float, default=0.0, help="initial ancilla angle")
-        p.add_argument("--eps", type=float, default=0.0, help="target-term detuning")
-        p.add_argument("--steps", type=int, default=None, help="step count (default n_G)")
-        p.add_argument("--engine", choices=("exact", "approx", "effective"),
-                       default="exact")
-        p.add_argument("--grid", type=_parse_grid, default=None, metavar="LO:HI:COUNT")
-        p.add_argument("--nr", type=float, default=None, help="requested database size")
-        p.add_argument("--out", type=str, default=None, help="output path")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
-        p.add_argument("--check", action="store_true",
-                       help="plan-scale: run both processes and compare")
+    for mode, (_, flags) in _COMMANDS.items():
+        # unset flags stay out of the namespace, so RunConfig fills them in;
+        # no abbreviations, so --dt cannot stand for --dtheta
+        p = sub.add_parser(mode, argument_default=argparse.SUPPRESS, allow_abbrev=False)
+        for flag in (*flags.split(), "out", "jobs"):
+            dest, options = _FLAGS[flag]
+            p.add_argument(f"--{flag}", dest=dest, **options)
         p.add_argument("--print-config", action="store_true",
                        help="print the resolved configuration and exit")
-        p.add_argument("--inject-fault", type=str, default=None, help=argparse.SUPPRESS)
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        mode=args.mode,
-        N=args.n,
-        delta_t=args.dt,
-        k=args.k,
-        tau=args.tau,
-        delta_theta=args.dtheta,
-        alpha=args.alpha,
-        theta0=args.theta0,
-        epsilon=args.eps,
-        steps=args.steps,
-        engine=args.engine,
-        grid=args.grid,
-        N_requested=args.nr,
-        check=args.check,
-        out=args.out,
-        jobs=args.jobs,
-        inject_fault=args.inject_fault,
-    )
 
 
 def run_config(config: RunConfig) -> int:
@@ -513,16 +478,17 @@ def run_config(config: RunConfig) -> int:
     try:
         if config.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {config.jobs}")
-        return _COMMANDS[config.mode](config)
+        return _COMMANDS[config.mode][0](config)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = config_from_args(args)
-    if args.print_config:
+    fields = vars(build_parser().parse_args(argv))
+    print_config = fields.pop("print_config", False)
+    config = RunConfig(**fields)
+    if print_config:
         print(json.dumps(config.to_dict(include_execution=True), sort_keys=True, indent=2))
         return 0
     return run_config(config)

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import SURVIVAL_FLOOR, RunRecord, SearchParams
+from .model import SURVIVAL_FLOOR, RunRecord, SearchParams, make_params
 from .stroboscopic import BlockHamiltonians, accumulate_process, subspace_basis_matrices
 
 __all__ = [
@@ -271,16 +271,21 @@ class EquivalenceResult:
         )
 
 
-def default_equivalence_cases(seed: int = 20260809) -> list[EquivalenceCase]:
-    """The standard verification matrix: N in {4,16,64,256}, 3 targets each,
-    dt in {1, pi, pi+0.2}, dtheta in {0, 1e-3, 1e-2}, 200 steps."""
+def default_equivalence_cases(
+    seed: int = 20260809,
+    sizes: tuple[int, ...] = (4, 16, 64, 256),
+    steps: int = 200,
+) -> list[EquivalenceCase]:
+    """The standard verification matrix: for each N in ``sizes``, min(3, N)
+    distinct targets drawn from one seeded stream, dt in {1, pi, pi+0.2},
+    dtheta in {0, 1e-3, 1e-2}, ``steps`` steps each."""
     rng = np.random.default_rng(seed)
     cases = []
-    for N in (4, 16, 64, 256):
-        for w in rng.choice(N, size=3, replace=False):
+    for N in sizes:
+        for w in rng.choice(N, size=min(3, N), replace=False):
             for dt in (1.0, math.pi, math.pi + 0.2):
                 for dth in (0.0, 0.001, 0.01):
-                    cases.append(EquivalenceCase(N, int(w), dt, dth))
+                    cases.append(EquivalenceCase(N, int(w), dt, dth, steps=steps))
     return cases
 
 
@@ -317,8 +322,6 @@ def equivalence_suite(
 
 
 def make_case_params(case: EquivalenceCase) -> SearchParams:
-    from .model import make_params
-
     # tiny-N cases may have delta_t beyond the search time; the suite always
     # runs an explicit step budget, so a zero n_G is fine here
     return make_params(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "detuned_fidelity_analytic",
     "bad_epsilon_values",
     "quality_factor_sweep",
+    "parallel_map",
 ]
 
 #: f_G below this is treated as a divergent-Q point
@@ -266,8 +267,15 @@ def quality_factor_sweep(
         )
         for r in eps_over_x
     ]
+    return parallel_map(_quality_point, work, jobs)
+
+
+def parallel_map(fn: Callable, work: Sequence, jobs: int) -> list:
+    """``[fn(w) for w in work]``, fanned out to ``min(jobs, len(work))``
+    worker processes when that is above one; the output follows the input
+    order, so the result does not depend on ``jobs``."""
     workers = min(jobs, len(work))
     if workers <= 1:
-        return [_quality_point(w) for w in work]
+        return [fn(w) for w in work]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_quality_point, work))
+        return list(pool.map(fn, work))

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import zenogrover
-from zenogrover.cli import RunConfig, main, run_config
+from zenogrover.cli import RunConfig, build_parser, main, run_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_table(path):
@@ -99,9 +101,10 @@ class TestBadInput:
              "--steps", "0"],
             ["sweep-dt", "--n", "1e6", "--alpha", "0.3", "--grid", "3:3.2:3",
              "--jobs", "0"],
+            ["verify", "--n", "2.5"],
         ],
         ids=["alpha-nan", "eps-inf", "n-inf", "unwritable-out", "verify-n-inf",
-             "plan-nr-inf", "sweep-dt-steps-0", "jobs-0"],
+             "plan-nr-inf", "sweep-dt-steps-0", "jobs-0", "verify-n-non-integer"],
     )
     def test_exits_2_with_message(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setenv("ZENOGROVER_OUTDIR", str(tmp_path))
@@ -131,7 +134,6 @@ class TestJobs:
             def map(self, fn, work):
                 return map(fn, work)
 
-        monkeypatch.setattr(zenogrover.cli, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(zenogrover.scaling, "ProcessPoolExecutor", SerialPool)
         assert main([
             "sweep-dt", "--n", "1e5", "--grid", "2.9:3.4:3", "--alpha", "0.3",
@@ -142,6 +144,102 @@ class TestJobs:
             "--grid=-1:1:3", "--jobs", "64", "--out", str(tmp_path / "eps.csv"),
         ]) == 0
         assert workers == [3, 3]
+
+
+#: the flags each command reads, besides --out, --jobs and --print-config
+FLAGS_READ = {
+    "run": "n dt k tau alpha dtheta theta0 eps steps engine",
+    "sweep-dt": "n alpha dtheta theta0 eps steps grid",
+    "sweep-eps": "n dt k tau alpha dtheta theta0 grid",
+    "plan-scale": "n k tau alpha nr check",
+    "verify": "n steps inject-fault",
+    "eff-compare": "n dt k tau alpha dtheta theta0 eps steps",
+}
+
+#: flag -> (its arguments, its RunConfig field, the value that field takes)
+FLAG_VALUES = {
+    "n": (["1e6"], "N", 1e6),
+    "dt": (["2.5"], "delta_t", 2.5),
+    "k": (["3"], "k", 3),
+    "tau": (["0.25"], "tau", 0.25),
+    "alpha": (["0.4"], "alpha", 0.4),
+    "dtheta": (["0.001"], "delta_theta", 0.001),
+    "theta0": (["0.1"], "theta0", 0.1),
+    "eps": (["1e-9"], "epsilon", 1e-9),
+    "steps": (["7"], "steps", 7),
+    "engine": (["approx"], "engine", "approx"),
+    "grid": (["1:2:3"], "grid", [1.0, 2.0, 3]),
+    "nr": (["1e8"], "N_requested", 1e8),
+    "check": ([], "check", True),
+    "inject-fault": (["hdown-sign"], "inject_fault", "hdown-sign"),
+}
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep-eps", "--n", "1e8", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
+              "--grid=-1:1:3", "--steps", "0"], "--steps"),
+            (["sweep-eps", "--n", "1e8", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
+              "--grid=-1:1:3", "--eps", "1e-9"], "--eps"),
+            (["sweep-dt", "--n", "1e6", "--alpha", "0.3", "--grid", "3:3.2:3",
+              "--engine", "approx"], "--engine"),
+            (["sweep-dt", "--n", "1e6", "--alpha", "0.3", "--grid", "3:3.2:3",
+              "--dt", "3.0"], "--dt"),
+            (["verify", "--n", "8", "--alpha", "0.3"], "--alpha"),
+            (["plan-scale", "--n", "1e6", "--k", "1", "--tau", "0.2", "--nr", "1e8",
+              "--eps", "1e-9"], "--eps"),
+            (["eff-compare", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
+              "--engine", "approx"], "--engine"),
+            (["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--grid", "1:2:3"], "--grid"),
+        ],
+        ids=["sweep-eps-steps", "sweep-eps-eps", "sweep-dt-engine", "sweep-dt-dt",
+             "verify-alpha", "plan-scale-eps", "eff-compare-engine", "run-grid"],
+    )
+    def test_unread_flag_exits_2(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.setenv("ZENOGROVER_OUTDIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("mode", list(FLAGS_READ))
+    def test_every_read_flag_reaches_its_field(self, tmp_path, capsys, mode):
+        out = str(tmp_path / "x.csv")
+        argv = [mode, "--jobs", "1", "--out", out, "--print-config"]
+        for flag in FLAGS_READ[mode].split():
+            argv += [f"--{flag}", *FLAG_VALUES[flag][0]]
+        assert main(argv) == 0
+        config = json.loads(capsys.readouterr().out)
+        assert config["mode"] == mode
+        assert config["jobs"] == 1
+        assert config["out"] == out
+        for flag in FLAGS_READ[mode].split():
+            _, field, value = FLAG_VALUES[flag]
+            assert config[field] == value, flag
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_no_command_takes_a_flag_it_does_not_read(self, capsys):
+        parser = build_parser()
+        for mode, flags in FLAGS_READ.items():
+            for flag in set(FLAG_VALUES) - set(flags.split()):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args([mode, f"--{flag}", *FLAG_VALUES[flag][0]])
+                assert exc.value.code == 2, (mode, flag)
+                assert f"--{flag}" in capsys.readouterr().err
+
+
+class TestReadme:
+    def test_every_command_line_parses(self):
+        text = README.read_text().replace("\\\n", " ")
+        lines = [line.split() for line in text.splitlines()
+                 if line.startswith("zenogrover ")]
+        assert len(lines) >= 16
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(line[1:])
 
 
 class TestPrintConfig:

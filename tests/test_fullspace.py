@@ -8,6 +8,7 @@ from zenogrover.fullspace import (
     FullState,
     build_full_hamiltonian,
     complement_weight,
+    default_equivalence_cases,
     equivalence_suite,
     simulate_full_protocol,
 )
@@ -154,3 +155,17 @@ class TestEquivalenceSuite:
             ),
         )
         assert not bad[0].passed(1e-8)
+
+
+class TestDefaultCases:
+    def test_single_size_draws_at_most_n_targets(self):
+        cases = default_equivalence_cases(sizes=(2,), steps=5)
+        assert len(cases) == 18  # 2 targets x 3 dt x 3 dtheta
+        assert {c.w for c in cases} == {0, 1}
+        assert all(c.N == 2 and c.steps == 5 for c in cases)
+
+    def test_standard_matrix(self):
+        cases = default_equivalence_cases()
+        assert len(cases) == 108  # 4 sizes x 3 targets x 3 dt x 3 dtheta
+        assert {c.N for c in cases} == {4, 16, 64, 256}
+        assert all(c.steps == 200 for c in cases)
