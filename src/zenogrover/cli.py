@@ -269,12 +269,14 @@ def cmd_plan_scale(config: RunConfig) -> int:
         "valid": plan.valid,
     }
     if config.check:
-        alpha = config.alpha if config.alpha is not None else 0.3
-        report = scaled_process_check(plan, alpha)
+        if config.alpha is None:
+            # resolved here so the header and sidecar record the applied value
+            config = replace(config, alpha=0.3)
+        report = scaled_process_check(plan, config.alpha)
         print(f"max |f2 - f1| = {_fmt(report.max_fidelity_deviation)}")
         print(f"max |P2 - P1| = {_fmt(report.max_survival_deviation)}")
         summary["check"] = {
-            "alpha": alpha,
+            "alpha": config.alpha,
             "max_fidelity_deviation": report.max_fidelity_deviation,
             "max_survival_deviation": report.max_survival_deviation,
         }

@@ -11,6 +11,9 @@ like 1/sqrt(P).  To keep the oracle trustworthy deep into that regime, the
 block eigendecompositions are refined to extended (long double) precision and
 the state is propagated in extended precision as well.  This stays within
 double-precision semantics at the interface: inputs and outputs are doubles.
+Propagation is a real long-double dot of each block's eigenvectors (and their
+cached contiguous transpose) with the complex state viewed as an (N, 2) real
+(re, im) matrix, so the real eigenvectors are never recast to complex.
 """
 
 from __future__ import annotations
@@ -99,8 +102,7 @@ def _eigh_refined(N: int, w: int, coeff_w: float, coeff_s: float):
     with any function of the matrix, so it cannot leak amplitude between
     eigenspaces.
     """
-    H = _block(N, w, coeff_w, coeff_s)
-    _, U0 = np.linalg.eigh(H)
+    _, U0 = np.linalg.eigh(_block(N, w, coeff_w, coeff_s))
     U = U0.astype(_LD)
     s_ld = np.ones(N, dtype=_LD) / np.sqrt(_LD(N))
     cw, cs = _LD(coeff_w), _LD(coeff_s)
@@ -109,27 +111,46 @@ def _eigh_refined(N: int, w: int, coeff_w: float, coeff_s: float):
     us = s_ld @ U  # <s| U
     A = cw * np.outer(uw, uw) + cs * np.outer(us, us)
     lam = np.diag(A).copy()
-    E = A - np.diag(lam)
 
     gap = lam[None, :] - lam[:, None]
     scale = max(abs(coeff_w), abs(coeff_s))
+    # W = A / gap off the clusters, written in place to keep the N x N long
+    # double temporaries few; the diagonal of A is never read (its gap is 0)
     mask = np.abs(gap) > 1e-6 * scale
     W = np.zeros((N, N), dtype=_LD)
-    W[mask] = E[mask] / gap[mask]
+    np.divide(A, gap, out=W, where=mask)
+    del A, gap
     # second-order-small correction: double-precision product is enough
-    U = U + (U0 @ W.astype(float)).astype(_LD)
+    U += (U0 @ W.astype(float)).astype(_LD)
     return lam, U
 
 
-@lru_cache(maxsize=64)
+# the default case matrix visits each (N, w, epsilon) as consecutive cases,
+# so one entry gives it every hit; an entry holds four N x N matrices (64 MB
+# in long double at N = 1024)
+@lru_cache(maxsize=1)
 def _block_propagator_factors(N: int, w: int, epsilon: float, extended: bool):
-    if extended:
-        lam_u, U_u = _eigh_refined(N, w, -(1.0 + epsilon), -1.0)
-        lam_d, U_d = _eigh_refined(N, w, -(1.0 + epsilon), +1.0)
-    else:
-        lam_u, U_u = np.linalg.eigh(_block(N, w, -(1.0 + epsilon), -1.0))
-        lam_d, U_d = np.linalg.eigh(_block(N, w, -(1.0 + epsilon), +1.0))
-    return (lam_u, U_u), (lam_d, U_d)
+    """Eigenvalues, eigenvectors and contiguous transposed eigenvectors of
+    the up and down blocks."""
+    factors = []
+    for coeff_s in (-1.0, +1.0):
+        if extended:
+            lam, U = _eigh_refined(N, w, -(1.0 + epsilon), coeff_s)
+        else:
+            lam, U = np.linalg.eigh(_block(N, w, -(1.0 + epsilon), coeff_s))
+        factors.append((lam, U, np.ascontiguousarray(U.T)))
+    return tuple(factors)
+
+
+def _apply(U: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``U @ v`` for real ``U`` and contiguous complex ``v`` of matching
+    precision, as one real dot on the (N, 2) (re, im) view of ``v``.
+
+    ``U`` is never recast to complex.  In long double the dot sums in the
+    same order as complex ``matmul``, so the result is bit-identical to
+    ``U.astype(v.dtype) @ v``; in double it is one BLAS call.
+    """
+    return np.dot(U, v.view(U.dtype).reshape(-1, 2)).view(v.dtype).ravel()
 
 
 def simulate_full_protocol(
@@ -162,7 +183,7 @@ def simulate_full_protocol(
     if extended is None:
         extended = N <= EXTENDED_PRECISION_MAX_N
 
-    (lam_u, U_u), (lam_d, U_d) = _block_propagator_factors(
+    (lam_u, U_u, UT_u), (lam_d, U_d, UT_d) = _block_propagator_factors(
         N, w, params.epsilon, extended
     )
     cdtype = _CLD if extended else np.complex128
@@ -187,8 +208,8 @@ def simulate_full_protocol(
     survival = 1.0
 
     for j in range(1, n_max + 1):
-        up = U_u @ (phase_u * (U_u.T @ up))
-        dn = U_d @ (phase_d * (U_d.T @ dn))
+        up = _apply(U_u, phase_u * _apply(UT_u, up))
+        dn = _apply(U_d, phase_d * _apply(UT_d, dn))
         th = theta0 + j * dtheta
         cth, sth = np.cos(th), np.sin(th)
         db = cth * up + sth * dn

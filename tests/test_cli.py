@@ -333,6 +333,18 @@ class TestPlanScale:
         meta = sidecar(out)
         assert meta["summary"]["check"]["max_fidelity_deviation"] < 0.02
 
+    def test_check_records_default_alpha(self, tmp_path, capsys):
+        out = tmp_path / "plan.csv"
+        rc = main([
+            "plan-scale", "--n", "1e4", "--k", "1", "--tau", "0.2", "--nr", "1e6",
+            "--check", "--out", str(out),
+        ])
+        assert rc == 0
+        meta = sidecar(out)
+        assert meta["config"]["alpha"] == 0.3
+        assert meta["summary"]["check"]["alpha"] == 0.3
+        assert "# alpha=0.3" in out.read_text().splitlines()
+
     def test_rejects_backwards_request(self):
         assert main([
             "plan-scale", "--n", "1e6", "--k", "1", "--tau", "0.2", "--nr", "1e4",

@@ -6,6 +6,8 @@ import pytest
 from zenogrover.fullspace import (
     EquivalenceCase,
     FullState,
+    _apply,
+    _block_propagator_factors,
     build_full_hamiltonian,
     complement_weight,
     default_equivalence_cases,
@@ -92,7 +94,8 @@ class TestSimulate:
         record = simulate_full_protocol(4, 2, params, n_max=1)
         assert record.survival[1] <= 4e-33
 
-    def test_joint_state_stays_in_search_plane(self):
+    @staticmethod
+    def _worst_leak(extended=None):
         N = 32
         params = make_params(float(N), math.pi + 0.2, delta_theta=0.01)
         worst = 0.0
@@ -104,7 +107,18 @@ class TestSimulate:
             norm = float(np.vdot(state.amplitudes, state.amplitudes).real)
             worst_norm = max(worst_norm, abs(norm - 1.0))
 
-        simulate_full_protocol(N, 13, params, n_max=150, state_callback=watch)
+        simulate_full_protocol(
+            N, 13, params, n_max=150, extended=extended, state_callback=watch
+        )
+        return worst, worst_norm
+
+    def test_joint_state_stays_in_search_plane(self):
+        worst, worst_norm = self._worst_leak()
+        assert worst < 1e-10
+        assert worst_norm < 1e-12
+
+    def test_double_precision_state_stays_in_search_plane(self):
+        worst, worst_norm = self._worst_leak(extended=False)
         assert worst < 1e-10
         assert worst_norm < 1e-12
 
@@ -123,6 +137,33 @@ class TestSimulate:
         a = simulate_full_protocol(N, 4, params, n_max=100, extended=True)
         b = simulate_full_protocol(N, 4, params, n_max=100, extended=False)
         assert np.max(np.abs(a.fidelity - b.fidelity)) < 1e-10
+
+
+class TestApply:
+    @pytest.mark.parametrize("N", [2, 16, 129])
+    def test_long_double_is_bit_identical_to_complex_matmul(self, N):
+        rng = np.random.default_rng(N)
+        U = rng.standard_normal((N, N)).astype(np.longdouble)
+        v = (rng.standard_normal(N) + 1j * rng.standard_normal(N)).astype(np.clongdouble)
+        for M in (U, np.ascontiguousarray(U.T)):
+            assert np.array_equal(_apply(M, v), M.astype(np.clongdouble) @ v)
+
+    @pytest.mark.parametrize("N", [2, 16, 129])
+    def test_double_matches_complex_matmul(self, N):
+        rng = np.random.default_rng(N)
+        U = rng.standard_normal((N, N))
+        v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        for M in (U, np.ascontiguousarray(U.T)):
+            ref = M.astype(complex) @ v
+            got = _apply(M, v)
+            assert got.dtype == np.complex128
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("extended", [True, False])
+    def test_factors_cache_the_transpose(self, extended):
+        for lam, U, UT in _block_propagator_factors(16, 3, 0.0, extended):
+            assert UT.flags.c_contiguous
+            assert np.array_equal(UT, U.T)
 
 
 class TestFullState:
