@@ -22,7 +22,6 @@ from .model import (
 from .stroboscopic import (
     BlockHamiltonians,
     accumulate_process,
-    align_global_phase,
     approx_step_operator,
     distance_from_unitarity,
     exact_step_operator,

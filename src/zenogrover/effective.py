@@ -7,7 +7,8 @@ Three complementary views of the same dynamics:
 * the continuous-time generator valid for small non-unitarity offset tau,
   whose anti-Hermitian part damps only the residual direction, integrated
   with a fourth-order commutator-free exponential scheme into one propagator
-  per protocol step, which runs through the stroboscopic trajectory loop; and
+  per protocol step, multiplied out by the stroboscopic chunked product kernel
+  (chunk prefixes joined by a power-of-two-normalised carry); and
 * the closed-form unitary approximation at tau = 0, where the fidelity is
   sin^2 of an accumulated rotation angle.
 
@@ -176,9 +177,9 @@ def _ordered_product(F: np.ndarray) -> np.ndarray:
     return F[:, 0]
 
 
-def _effective_entries(params: SearchParams, n: int) -> Iterator[list]:
-    """Entries [v00, v01, v10, v11] of the propagators of protocol steps
-    1, ..., n under the continuous generator, in order.
+def _effective_entries(params: SearchParams, n: int) -> Iterator[np.ndarray]:
+    """Entries (v00, v01, v10, v11) of the propagators of protocol steps
+    1, ..., n under the continuous generator, in order, as (k, 4) arrays.
 
     Each step is m = _default_substeps(params) substeps of the fourth-order
     commutator-free scheme: exp(h(w2 A1 + w1 A2)), then exp(h(w1 A1 + w2 A2)),
@@ -203,7 +204,7 @@ def _effective_entries(params: SearchParams, n: int) -> Iterator[list]:
             for u, v in ((w2, w1), (w1, w2))
         )
         factors = np.stack([early, late], 1).reshape(count, 2 * m, 2, 2)
-        yield from _ordered_product(factors).reshape(count, 4).tolist()
+        yield _ordered_product(factors).reshape(count, 4)
 
 
 def integrate_effective(
@@ -213,9 +214,9 @@ def integrate_effective(
     at every protocol step up to t_final (default: the readout time).
 
     The step propagators come from :func:`_effective_entries` and run through
-    the same trajectory loop as the stroboscopic engines, so survival is the
-    norm of the raw state (frozen at 0 below SURVIVAL_FLOOR) and fidelity
-    comes from the renormalized one.  The engine tracks no unitarity
+    the same product kernel as the stroboscopic engines, so survival is the
+    squared norm of the propagated state (frozen at 0 below SURVIVAL_FLOOR)
+    and fidelity comes from its direction.  The engine tracks no unitarity
     distance; that column is NaN.
     """
     if t_final is None:

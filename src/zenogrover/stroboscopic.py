@@ -16,17 +16,22 @@ C_j + S_j = cos(dtheta) and C_j - S_j = cos(theta_{j-1} + theta_j),
     phi_j = 2 theta_0 + (2j-1) dtheta,
 
 which is two fixed matrices and one cosine array.  The engine accumulates the
-ordered product V(n) = V_n ... V_1, the survival probability
-||V(n)|s>||^2, the per-step renormalized state (source of the fidelity
-column), and the unitarity distance of the accumulated operator.  The
-continuous effective engine feeds its own step propagators through the same
-loop.
+ordered product V(n) = V_n ... V_1 and reads from it the survival probability
+||V(n)|s>||^2, the fidelity (from the direction of V(n)|s>) and the unitarity
+distance of the accumulated operator.
+
+One numpy kernel, :func:`_scan`, multiplies out the steps of every 2x2 engine;
+the effective engine feeds it its own step propagators.  Inside chunks of
+_CHUNK steps aligned to the step index, prefix products take _CHUNK rounds
+vectorised across the chunks (Blelloch, "Prefix sums and their applications",
+1990); a carry, the product of all earlier chunks, joins them.  Each product
+is a matrix rescaled by a power of two, which is exact, plus an integer
+exponent, so deep damping cannot underflow.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -51,7 +56,6 @@ __all__ = [
     "accumulate_process",
     "run_protocol",
     "final_distance",
-    "align_global_phase",
 ]
 
 
@@ -143,10 +147,11 @@ def _engine_matrices(
 def _cycle_entries(
     params: SearchParams, P: np.ndarray, Q: np.ndarray, start: int, stop: int
 ) -> np.ndarray:
-    """Row-major entries (v00, v01, v10, v11) of V_start, ..., V_{stop-1}."""
+    """Row-major entries (v00, v01, v10, v11) of V_start, ..., V_{stop-1}, as
+    the transpose of a (4, steps) array."""
     phi = 2.0 * params.theta0 + (2 * np.arange(start, stop) - 1) * params.delta_theta
-    mean = (0.5 * math.cos(params.delta_theta)) * (P + Q).ravel()
-    return mean + np.cos(phi)[:, None] * (0.5 * (P - Q)).ravel()
+    mean = (0.5 * math.cos(params.delta_theta)) * (P + Q).reshape(4, 1)
+    return (mean + (0.5 * (P - Q)).reshape(4, 1) * np.cos(phi)).T
 
 
 #: steps per vectorised block of cycle entries; bounds memory for any n
@@ -155,12 +160,12 @@ _BLOCK_STEPS = 1 << 14
 
 def _step_entries(
     params: SearchParams, n: int, engine: str, blocks: Optional[BlockHamiltonians]
-) -> Iterator[list]:
-    """Entries [v00, v01, v10, v11] of V_1, ..., V_n in order as Python
-    complex numbers, built _BLOCK_STEPS steps at a time."""
+) -> Iterator[np.ndarray]:
+    """Entries (v00, v01, v10, v11) of V_1, ..., V_n in order, as (k, 4)
+    arrays of at most _BLOCK_STEPS steps."""
     P, Q = _engine_matrices(params, engine, blocks)
-    return itertools.chain.from_iterable(
-        _cycle_entries(params, P, Q, s, min(s + _BLOCK_STEPS, n + 1)).tolist()
+    return (
+        _cycle_entries(params, P, Q, s, min(s + _BLOCK_STEPS, n + 1))
         for s in range(1, n + 1, _BLOCK_STEPS)
     )
 
@@ -195,16 +200,6 @@ def approx_step_operator(j: int, params: SearchParams) -> StepOperator:
     return _step_operator(j, params, "approx", None)
 
 
-def align_global_phase(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Rotate ``other`` by the global phase that matches ``reference`` at the
-    largest-magnitude entry of ``reference``."""
-    idx = np.unravel_index(np.argmax(np.abs(reference)), reference.shape)
-    ref, oth = reference[idx], other[idx]
-    if abs(oth) == 0.0:
-        return other
-    return other * (ref / abs(ref)) * (abs(oth) / oth)
-
-
 def accumulate_process(
     params: SearchParams,
     n: int,
@@ -214,75 +209,114 @@ def accumulate_process(
     """Accumulate V(n) = V_n ... V_1 and record the full trajectory.
 
     Returns the accumulated operator and a :class:`RunRecord` sampled at every
-    step (row 0 is the initial state).  Survival is taken from the raw
-    unnormalized propagated state; fidelity from a separately renormalized
-    state, so it stays meaningful long after survival underflows.
+    step (row 0 is the initial state).  Survival is the squared norm of the
+    propagated state; fidelity is read from its direction, which the kernel
+    keeps rescaled, so it stays meaningful long after survival underflows.
     """
     if n < 1:
         raise ValueError(f"need at least one step, got n={n}")
     return _propagate(params, _step_entries(params, n, engine, blocks), n)
 
 
+#: steps per chunk of the product kernel; chunk c holds steps cL+1, ..., (c+1)L
+_CHUNK = 64
+
+#: prefixes are rescaled every _RESCALE steps; the square of a product of
+#: fewer steps underflows only if its steps average below 1e-22 in size
+_RESCALE = 8
+
+
+def _batches(entries: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Regroup (k, 4) entry blocks into batches of whole chunks aligned to the
+    step index; identity steps, which multiply exactly, pad the last chunk."""
+    rows = np.empty((0, 4), dtype=complex)
+    for block in entries:
+        cut = len(rows) - len(rows) % _CHUNK
+        if cut:
+            yield rows[:cut]
+        rows = np.concatenate([rows[cut:], block]) if len(rows) > cut else block
+    yield np.concatenate([rows, np.tile(np.eye(2).ravel(), (-len(rows) % _CHUNK, 1))])
+
+
+def _rescale(m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Divide each matrix of m (2, 2, c) in place by 2^de, de the binary
+    exponent of its largest entry modulus, and return e + de."""
+    de = np.maximum(np.frexp(np.abs(m).reshape(4, -1).max(axis=0))[1], -1022)
+    m *= np.ldexp(1.0, -de)
+    return e + de
+
+
+def _scan(entries: Iterable[np.ndarray], record: bool) -> Iterator[tuple]:
+    """The product kernel of every 2x2 engine.  For each batch of c chunks,
+    yield V(j) = W 2^g (W of shape (i, 2, 2, c), g of shape (i, c)) after
+    every step (i = _CHUNK) if ``record``, else after each chunk (i = 1).
+
+    The prefix products inside the chunks take _CHUNK rounds vectorised
+    across the chunks.  The carry k 2^b, the product of all earlier chunks,
+    passes from chunk to chunk and multiplies the prefixes in one broadcast."""
+    k0, k1, k2, k3, b = 1.0 + 0j, 0j, 0j, 1.0 + 0j, 0
+    for rows in _batches(entries):
+        # M[i] overwrites the step entries V_i with the prefix that ends there
+        M = rows.reshape(-1, _CHUNK, 2, 2).transpose(1, 2, 3, 0).copy()
+        E = np.zeros((_CHUNK, M.shape[-1]), dtype=np.int64)
+        for i in range(1, _CHUNK):
+            m = np.add(M[i, :, :1] * M[i - 1, :1], M[i, :, 1:] * M[i - 1, 1:], out=M[i])
+            E[i] = _rescale(m, E[i - 1]) if i % _RESCALE == _RESCALE - 1 else E[i - 1]
+        K, B = [], []
+        for (t0, t1, t2, t3), a in zip(M[-1].reshape(4, -1).T.tolist(), E[-1].tolist()):
+            K.append((k0, k1, k2, k3))
+            B.append(b)
+            k0, k1, k2, k3 = (
+                t0 * k0 + t1 * k2,
+                t0 * k1 + t1 * k3,
+                t2 * k0 + t3 * k2,
+                t2 * k1 + t3 * k3,
+            )
+            e = max(math.frexp(abs(k0) + abs(k1) + abs(k2) + abs(k3))[1], -1022)
+            f, b = math.ldexp(1.0, -e), b + a + e
+            k0, k1, k2, k3 = k0 * f, k1 * f, k2 * f, k3 * f
+        K = np.array(K).T.reshape(2, 2, -1)
+        M, E = (M, E) if record else (M[-1:], E[-1:])
+        yield M[:, :, :1] * K[:1] + M[:, :, 1:] * K[1:], E + np.array(B)
+
+
+def _distance(W: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """1 - ||V||_F^2 / 2 for V = W 2^g as yielded by :func:`_scan`."""
+    sq = W.real**2 + W.imag**2
+    frob = (sq[:, 0, 0] + sq[:, 0, 1]) + (sq[:, 1, 0] + sq[:, 1, 1])
+    return 1.0 - 0.5 * np.ldexp(frob, 2 * g)
+
+
 def _propagate(
-    params: SearchParams, entries: Iterable[list], n: int
+    params: SearchParams, entries: Iterable[np.ndarray], n: int
 ) -> tuple[np.ndarray, RunRecord]:
-    """The one trajectory loop: multiply out the step operators whose entries
-    [v00, v01, v10, v11] ``entries`` yields in order, starting from |s>."""
+    """Multiply out the steps whose (k, 4) entry blocks ``entries`` yields, and
+    record V(j)|s> at every step: survival is its squared norm, frozen at 0
+    from the first step below SURVIVAL_FLOOR or annihilated exactly; fidelity
+    is read from its direction, and holds after an exact annihilation."""
     x = params.x
-    # accumulated operator entries
-    a, b = 1.0 + 0j, 0j
-    c, d = 0j, 1.0 + 0j
-    # raw (unnormalized) propagated state: survival source
-    rw = complex(x)
-    rr = complex(math.sqrt(1.0 - x * x))
-    # renormalized state: fidelity source
-    pw, pr = rw, rr
-
     steps = np.arange(n + 1)
-    fid = np.empty(n + 1)
-    sur = np.empty(n + 1)
-    dist = np.empty(n + 1)
-    fid[0] = x * x
-    sur[0] = 1.0
-    dist[0] = 0.0
-    underflow = False
-    frozen_p = 0.0
-
-    for j, (v00, v01, v10, v11) in enumerate(entries, 1):
-        a, b, c, d = (
-            v00 * a + v01 * c,
-            v00 * b + v01 * d,
-            v10 * a + v11 * c,
-            v10 * b + v11 * d,
-        )
-        rw, rr = v00 * rw + v01 * rr, v10 * rw + v11 * rr
-        pw, pr = v00 * pw + v01 * pr, v10 * pw + v11 * pr
-
-        p_cond = abs(pw) ** 2 + abs(pr) ** 2
-        if p_cond > 0.0:
-            scale = 1.0 / math.sqrt(p_cond)
-            pw *= scale
-            pr *= scale
-            fid[j] = abs(pw) ** 2
-        else:
-            # post-selection annihilated the state; keep the last direction
-            underflow = True
-            fid[j] = fid[j - 1]
-
-        if underflow:
-            sur[j] = frozen_p
-        else:
-            p_raw = abs(rw) ** 2 + abs(rr) ** 2
-            if p_raw < SURVIVAL_FLOOR:
-                underflow = True
-                sur[j] = frozen_p
-            else:
-                sur[j] = p_raw
-        dist[j] = 1.0 - 0.5 * (
-            abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-        )
-
-    V = np.array([[a, b], [c, d]], dtype=complex)
+    fid, sur, dist = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    fid[0], sur[0], dist[0] = x * x, 1.0, 0.0
+    j = 1
+    with np.errstate(invalid="ignore"):
+        for W, g in _scan(entries, record=True):
+            psi = W[:, :, 0] * x + W[:, :, 1] * math.sqrt(1.0 - x * x)
+            amp = psi.real**2 + psi.imag**2
+            norm = amp[:, 0] + amp[:, 1]
+            k = min(norm.size, n + 1 - j)
+            dist[j : j + k] = _distance(W, g).T.ravel()[:k]
+            sur[j : j + k] = np.ldexp(norm, 2 * g).T.ravel()[:k]
+            fid[j : j + k] = (amp[:, 0] / norm).T.ravel()[:k]  # nan: annihilated
+            j += k
+    c, i = divmod(k - 1, _CHUNK)  # step n is step i of chunk c of the last batch
+    V = W[i, :, :, c] * np.ldexp(1.0, g[i, c])
+    state = psi[i, :, c] / (math.sqrt(norm[i, c]) if norm[i, c] > 0.0 else 1.0)
+    annihilated = np.isnan(fid)
+    dead = annihilated | (sur < SURVIVAL_FLOOR)
+    if dead.any():
+        sur[np.argmax(dead) :] = 0.0
+        fid = fid[np.maximum.accumulate(np.where(annihilated, 0, steps))]
     record = RunRecord(
         params=params,
         steps=steps,
@@ -290,8 +324,8 @@ def _propagate(
         fidelity=fid,
         survival=sur,
         distance=dist,
-        underflow=underflow,
-        final_state=SubspaceState(pw, pr, sur[-1]),
+        underflow=bool(dead.any()),
+        final_state=SubspaceState(complex(state[0]), complex(state[1]), sur[-1]),
     )
     return V, record
 
@@ -325,13 +359,6 @@ def final_distance(
         n = params.n_G
     if n < 1:
         raise ValueError(f"need at least one step, got n={n}")
-    a, b = 1.0 + 0j, 0j
-    c, d = 0j, 1.0 + 0j
-    for v00, v01, v10, v11 in _step_entries(params, n, "exact", blocks):
-        a, b, c, d = (
-            v00 * a + v01 * c,
-            v00 * b + v01 * d,
-            v10 * a + v11 * c,
-            v10 * b + v11 * d,
-        )
-    return 1.0 - 0.5 * (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
+    for W, g in _scan(_step_entries(params, n, "exact", blocks), record=False):
+        pass  # the last chunk of the last batch ends at step n
+    return float(_distance(W[..., -1:], g[..., -1:])[0, 0])

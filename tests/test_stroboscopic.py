@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -6,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenogrover import stroboscopic
-from zenogrover.model import grover_fidelity_closed_form, make_params
+from zenogrover import effective, stroboscopic
+from zenogrover.model import (
+    SURVIVAL_FLOOR,
+    RunRecord,
+    SubspaceState,
+    grover_fidelity_closed_form,
+    make_params,
+    overlap_x,
+)
 from zenogrover.stroboscopic import (
     accumulate_process,
-    align_global_phase,
     approx_step_operator,
     distance_from_unitarity,
     exact_step_operator,
@@ -19,6 +26,159 @@ from zenogrover.stroboscopic import (
     run_protocol,
     subspace_basis_matrices,
 )
+
+
+def align_global_phase(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Rotate ``other`` by the global phase that matches ``reference`` at the
+    largest-magnitude entry of ``reference``."""
+    idx = np.unravel_index(np.argmax(np.abs(reference)), reference.shape)
+    ref, oth = reference[idx], other[idx]
+    if abs(oth) == 0.0:
+        return other
+    return other * (ref / abs(ref)) * (abs(oth) / oth)
+
+
+def _sequential_propagate(params, entries, n):
+    """Reference trajectory: the step-by-step loop over Python complex
+    entries [v00, v01, v10, v11] that the chunked product kernel replaced."""
+    x = params.x
+    # accumulated operator entries
+    a, b = 1.0 + 0j, 0j
+    c, d = 0j, 1.0 + 0j
+    # raw (unnormalized) propagated state: survival source
+    rw = complex(x)
+    rr = complex(math.sqrt(1.0 - x * x))
+    # renormalized state: fidelity source
+    pw, pr = rw, rr
+
+    steps = np.arange(n + 1)
+    fid = np.empty(n + 1)
+    sur = np.empty(n + 1)
+    dist = np.empty(n + 1)
+    fid[0] = x * x
+    sur[0] = 1.0
+    dist[0] = 0.0
+    underflow = False
+    frozen_p = 0.0
+
+    for j, (v00, v01, v10, v11) in enumerate(entries, 1):
+        a, b, c, d = (
+            v00 * a + v01 * c,
+            v00 * b + v01 * d,
+            v10 * a + v11 * c,
+            v10 * b + v11 * d,
+        )
+        rw, rr = v00 * rw + v01 * rr, v10 * rw + v11 * rr
+        pw, pr = v00 * pw + v01 * pr, v10 * pw + v11 * pr
+
+        p_cond = abs(pw) ** 2 + abs(pr) ** 2
+        if p_cond > 0.0:
+            scale = 1.0 / math.sqrt(p_cond)
+            pw *= scale
+            pr *= scale
+            fid[j] = abs(pw) ** 2
+        else:
+            # post-selection annihilated the state; keep the last direction
+            underflow = True
+            fid[j] = fid[j - 1]
+
+        if underflow:
+            sur[j] = frozen_p
+        else:
+            p_raw = abs(rw) ** 2 + abs(rr) ** 2
+            if p_raw < SURVIVAL_FLOOR:
+                underflow = True
+                sur[j] = frozen_p
+            else:
+                sur[j] = p_raw
+        dist[j] = 1.0 - 0.5 * (
+            abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+        )
+
+    V = np.array([[a, b], [c, d]], dtype=complex)
+    record = RunRecord(
+        params=params,
+        steps=steps,
+        times=steps * params.delta_t,
+        fidelity=fid,
+        survival=sur,
+        distance=dist,
+        underflow=underflow,
+        final_state=SubspaceState(pw, pr, sur[-1]),
+    )
+    return V, record
+
+
+def _steps_case(N, n=None, engine="exact", **kwargs):
+    def build():
+        p = make_params(N, **kwargs)
+        steps = p.n_G if n is None else n
+        return p, steps, lambda: stroboscopic._step_entries(p, steps, engine, None)
+
+    return build
+
+
+def _zero_step_case():
+    # step 70 (in the second chunk) annihilates the state exactly
+    p = make_params(1e4, 1.0, alpha=0.3)
+    n = 200
+
+    def entries():
+        rows = np.concatenate(list(stroboscopic._step_entries(p, n, "exact", None)))
+        rows[69] = 0.0
+        return iter([rows])
+
+    return p, n, entries
+
+
+def _effective_case():
+    p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
+    n = p.n_G
+    return p, n, lambda: effective._effective_entries(p, n)
+
+
+_KERNEL_CASES = {
+    "ladder_a": _steps_case(1e6, k=1, tau=0.2, alpha=0.3),
+    "sweep_dt_pi": _steps_case(1e10, delta_t=3.1416, alpha=0.3),
+    "sweep_eps_detuned": _steps_case(
+        1e18,
+        k=1_000_000,
+        tau=0.2,
+        alpha=0.3,
+        epsilon=2 * math.sqrt(3) * overlap_x(1e18),
+    ),
+    "approx": _steps_case(1e10, engine="approx", delta_t=math.pi + 0.2, alpha=0.3),
+    "effective": _effective_case,
+    "deep_damping": _steps_case(4.0, 3000, delta_t=math.pi, delta_theta=0.01),
+    "annihilating": _steps_case(1e4, 12, delta_t=1.0, delta_theta=math.pi / 2),
+    "exact_zero_step": _zero_step_case,
+}
+
+
+class TestKernelMatchesSequentialLoop:
+    @pytest.mark.parametrize("case", list(_KERNEL_CASES))
+    def test_record_matches_reference(self, case, monkeypatch):
+        if case == "sweep_dt_pi":
+            # blocks of 40 steps: every chunk of the kernel spans entry blocks
+            monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", 40)
+        p, n, entries = _KERNEL_CASES[case]()
+        V, got = stroboscopic._propagate(p, entries(), n)
+        flat = itertools.chain.from_iterable(b.tolist() for b in entries())
+        V_ref, ref = _sequential_propagate(p, flat, n)
+        assert np.max(np.abs(got.fidelity - ref.fidelity)) <= 1e-12
+        live = ref.survival > 0
+        assert np.array_equal(got.survival > 0, live)
+        rel = np.abs(got.survival[live] - ref.survival[live]) / ref.survival[live]
+        assert np.max(rel) <= 1e-12
+        assert np.max(np.abs(got.distance - ref.distance)) <= 1e-12
+        assert got.underflow == ref.underflow
+        np.testing.assert_allclose(V, V_ref, rtol=0, atol=1e-12)
+        if case in ("deep_damping", "annihilating", "exact_zero_step"):
+            assert ref.underflow
+            assert np.argmin(got.survival > 0) == np.argmin(live)
+        if case == "exact_zero_step":
+            assert np.all(got.fidelity[70:] == got.fidelity[69])
+            assert np.all(got.distance[70:] == 1.0)
 
 
 class TestBlockMatrices:
@@ -321,6 +481,32 @@ class TestAccumulate:
         p = make_params(10.0**n_exp, k=1, tau=tau, alpha=alpha)
         record = run_protocol(p, min(p.n_G, 120))
         assert np.all(np.diff(record.survival) <= 1e-12)
+
+
+class TestFinalDistancePrecision:
+    @pytest.mark.parametrize(
+        "delta_t, steps", [(9.4248, 16666), (25.1327, 6250)], ids=["3pi", "8pi"]
+    )
+    def test_matches_30_digit_product(self, delta_t, steps):
+        # centres of the 3pi and 8pi sweep-dt windows: the same double step
+        # entries multiplied out in 30-digit arithmetic
+        import mpmath
+
+        p = make_params(1e10, delta_t, alpha=0.3)
+        assert p.n_G == steps
+        with mpmath.workdps(30):
+            a, b, c, d = mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(1)
+            for block in stroboscopic._step_entries(p, steps, "exact", None):
+                for v in block.tolist():
+                    v00, v01, v10, v11 = map(mpmath.mpc, v)
+                    a, b, c, d = (
+                        v00 * a + v01 * c,
+                        v00 * b + v01 * d,
+                        v10 * a + v11 * c,
+                        v10 * b + v11 * d,
+                    )
+            ref = 1 - (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2) / 2
+        assert abs(final_distance(p, steps) - float(ref)) <= 1e-12
 
 
 def p_x3(N):
