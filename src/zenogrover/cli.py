@@ -299,10 +299,14 @@ def cmd_plan_scale(config: RunConfig) -> int:
     return 0
 
 
+def _hdown_sign(b: BlockHamiltonians) -> BlockHamiltonians:
+    # classic sign slip: the driving term not flipped in the down block
+    return BlockHamiltonians(h_up=b.h_up, h_down=b.h_up.copy())
+
+
 def _fault_transform(name: str):
     if name == "hdown-sign":
-        # classic sign slip: the driving term not flipped in the down block
-        return lambda b: BlockHamiltonians(h_up=b.h_up, h_down=b.h_up.copy())
+        return _hdown_sign
     raise ConfigError(f"unknown fault {name!r}")
 
 
@@ -324,7 +328,7 @@ def cmd_verify(config: RunConfig) -> int:
     if config.inject_fault is not None:
         transform = _fault_transform(config.inject_fault)
 
-    results = equivalence_suite(cases, block_transform=transform)
+    results = equivalence_suite(cases, block_transform=transform, jobs=config.jobs)
     tol = 1e-8
     failures = 0
     print(f"{'N':>5} {'w':>5} {'dt':>10} {'dtheta':>8} {'max|df|':>12} {'max|dP|':>12}  status")
@@ -441,7 +445,7 @@ _FLAGS = {
     "check": ("check", dict(action="store_true", help="run both processes and compare")),
     "inject-fault": ("inject_fault", dict(help=argparse.SUPPRESS)),
     "out": ("out", dict(help="output path")),
-    "jobs": ("jobs", dict(type=int, help="parallel workers for sweeps")),
+    "jobs": ("jobs", dict(type=int, help="worker processes (sweep-dt, sweep-eps, verify)")),
 }
 
 #: mode -> (command, the flags it reads); every mode also takes --out, --jobs

@@ -11,21 +11,33 @@ like 1/sqrt(P).  To keep the oracle trustworthy deep into that regime, the
 block eigendecompositions are refined to extended (long double) precision and
 the state is propagated in extended precision as well.  This stays within
 double-precision semantics at the interface: inputs and outputs are doubles.
-Propagation is a real long-double dot of each block's eigenvectors (and their
-cached contiguous transpose) with the complex state viewed as an (N, 2) real
-(re, im) matrix, so the real eigenvectors are never recast to complex.
+
+Propagation runs in eigen-coordinates: the up component is kept as
+``y_u = U_uᵀ·up`` and the down component as ``y_d = U_dᵀ·dn``, where ``U_u``
+and ``U_d`` are the blocks' eigenvectors over all N dimensions.  Evolution is
+then a phase per coordinate, and the ancilla projection couples the two
+bases through ``M = U_uᵀ U_d``, cached with its contiguous transpose per
+(N, w, epsilon).  A step is two real long-double products, ``M·y_d`` and
+``Mᵀ·y_u``, each one dot on the (N, 2B) (re, im) view of the state.  B is
+the number of cases in a batch: the equivalence suite runs each group of
+consecutive cases that share (N, w, epsilon, steps) as one batch, one column
+per case, and ``simulate_full_protocol`` is a batch of one.  In long double
+every column is summed in the same order whatever B is, so a case's numbers
+do not depend on the batch it ran in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Optional
+from functools import lru_cache, partial
+from itertools import groupby
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .model import SURVIVAL_FLOOR, RunRecord, SearchParams, make_params
+from .scaling import parallel_map
 from .stroboscopic import BlockHamiltonians, accumulate_process, subspace_basis_matrices
 
 __all__ = [
@@ -68,9 +80,11 @@ class FullState:
         )
 
 
-def _check_size(N: int) -> None:
+def _check_target(N: int, w: int) -> None:
     if not (2 <= N <= MAX_FULLSPACE_N):
         raise ValueError(f"full-space verifier supports 2 <= N <= {MAX_FULLSPACE_N}, got {N}")
+    if not 0 <= w < N:
+        raise ValueError(f"target index w={w} out of range for N={N}")
 
 
 def _block(N: int, w: int, coeff_w: float, coeff_s: float) -> np.ndarray:
@@ -83,9 +97,7 @@ def _block(N: int, w: int, coeff_w: float, coeff_s: float) -> np.ndarray:
 def build_full_hamiltonian(N: int, w: int, epsilon: float = 0.0) -> np.ndarray:
     """Joint Hamiltonian -(1+eps) I (x) |w><w| - sigma_z (x) |s><s| as a dense
     2N x 2N real symmetric matrix (ancilla-major ordering, up block first)."""
-    _check_size(N)
-    if not 0 <= w < N:
-        raise ValueError(f"target index w={w} out of range for N={N}")
+    _check_target(N, w)
     H = np.zeros((2 * N, 2 * N))
     H[:N, :N] = _block(N, w, -(1.0 + epsilon), -1.0)
     H[N:, N:] = _block(N, w, -(1.0 + epsilon), +1.0)
@@ -125,32 +137,129 @@ def _eigh_refined(N: int, w: int, coeff_w: float, coeff_s: float):
     return lam, U
 
 
-# the default case matrix visits each (N, w, epsilon) as consecutive cases,
-# so one entry gives it every hit; an entry holds four N x N matrices (64 MB
-# in long double at N = 1024)
+class _Factors(NamedTuple):
+    lam_u: np.ndarray
+    lam_d: np.ndarray
+    U_u: np.ndarray
+    M: np.ndarray  # U_uᵀ U_d
+    MT: np.ndarray  # contiguous Mᵀ
+    s_u: np.ndarray  # U_uᵀ |s>
+    s_d: np.ndarray  # U_dᵀ |s>
+
+
+# the default case matrix visits each (N, w, epsilon) as one group of
+# consecutive cases, so one entry serves it; an entry holds three N x N
+# matrices (48 MB in long double at N = 1024)
 @lru_cache(maxsize=1)
-def _block_propagator_factors(N: int, w: int, epsilon: float, extended: bool):
-    """Eigenvalues, eigenvectors and contiguous transposed eigenvectors of
-    the up and down blocks."""
-    factors = []
-    for coeff_s in (-1.0, +1.0):
+def _block_propagator_factors(N: int, w: int, epsilon: float, extended: bool) -> _Factors:
+    """Both blocks' eigenvalues, the up block's eigenvectors ``U_u``, the
+    coupling ``M = U_uᵀ U_d`` with its contiguous transpose, and ``|s>`` in
+    each eigenbasis."""
+    def eigh(coeff_s: float):
         if extended:
-            lam, U = _eigh_refined(N, w, -(1.0 + epsilon), coeff_s)
-        else:
-            lam, U = np.linalg.eigh(_block(N, w, -(1.0 + epsilon), coeff_s))
-        factors.append((lam, U, np.ascontiguousarray(U.T)))
-    return tuple(factors)
+            return _eigh_refined(N, w, -(1.0 + epsilon), coeff_s)
+        return np.linalg.eigh(_block(N, w, -(1.0 + epsilon), coeff_s))
+
+    lam_u, U_u = eigh(-1.0)
+    lam_d, U_d = eigh(+1.0)
+    rl = U_u.dtype.type
+    s = np.ones(N, dtype=rl) / np.sqrt(rl(N))
+    s_d = s @ U_d
+    # both operands row-contiguous: each element is the same ordered sum as
+    # in U_u.T @ U_d, but long double runs ~4x faster than on a column walk
+    Ud_T = np.ascontiguousarray(U_d.T)
+    del U_d
+    M = np.dot(np.ascontiguousarray(U_u.T), Ud_T.T)
+    del Ud_T
+    return _Factors(lam_u, lam_d, U_u, M, np.ascontiguousarray(M.T), s @ U_u, s_d)
 
 
 def _apply(U: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``U @ v`` for real ``U`` and contiguous complex ``v`` of matching
-    precision, as one real dot on the (N, 2) (re, im) view of ``v``.
+    """``U @ v`` for real ``U`` and contiguous complex ``v`` (a vector or an
+    (N, B) batch of columns) of matching precision, as one real dot on the
+    (N, 2B) (re, im) view of ``v``.
 
-    ``U`` is never recast to complex.  In long double the dot sums in the
-    same order as complex ``matmul``, so the result is bit-identical to
-    ``U.astype(v.dtype) @ v``; in double it is one BLAS call.
+    ``U`` is never recast to complex.  In long double the dot sums each
+    element in the same order as complex ``matmul``, whatever B is, so the
+    result is bit-identical to ``U.astype(v.dtype) @ v`` column by column;
+    in double it is one BLAS call.
     """
-    return np.dot(U, v.view(U.dtype).reshape(-1, 2)).view(v.dtype).ravel()
+    re_im = v.view(U.dtype).reshape(v.shape[0], -1)
+    return np.dot(U, re_im).view(v.dtype).reshape(v.shape)
+
+
+def _propagate(
+    N: int,
+    w: int,
+    params: Sequence[SearchParams],
+    n_max: int,
+    extended: Optional[bool] = None,
+    state_callback: Optional[Callable[[int, FullState], None]] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run a batch of B protocols that share (N, w, epsilon) in the block
+    eigenbases; returns (B, n_max + 1) fidelity and survival arrays and the
+    per-case underflow flags.  ``state_callback`` sees case 0."""
+    _check_target(N, w)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if extended is None:
+        extended = N <= EXTENDED_PRECISION_MAX_N
+    F = _block_propagator_factors(N, w, params[0].epsilon, extended)
+    rl = _LD if extended else np.float64
+    cdtype = _CLD if extended else np.complex128
+    dt, theta0, dtheta = (
+        np.array([getattr(p, k) for p in params], dtype=rl)
+        for k in ("delta_t", "theta0", "delta_theta")
+    )
+    phase_u = np.exp(-1j * (F.lam_u[:, None] * dt)).astype(cdtype)
+    phase_d = np.exp(-1j * (F.lam_d[:, None] * dt)).astype(cdtype)
+    # eigen-coordinates y_u = U_uᵀ·up and y_d = U_dᵀ·dn, one column per case
+    y_u = (F.s_u[:, None] * np.cos(theta0)).astype(cdtype)
+    y_d = (F.s_d[:, None] * np.sin(theta0)).astype(cdtype)
+    th = theta0 + np.arange(n_max + 1, dtype=rl)[:, None] * dtheta
+    cos_th, sin_th = np.cos(th), np.sin(th)
+    u_w = F.U_u[w]
+    ones = np.ones(N, dtype=rl)
+
+    B = len(params)
+    fid = np.empty((B, n_max + 1))
+    sur = np.empty((B, n_max + 1))
+    fid[:, 0] = 1.0 / N
+    sur[:, 0] = 1.0
+    underflow = np.zeros(B, dtype=bool)
+    survival = np.ones(B)
+
+    for j in range(1, n_max + 1):
+        c, s = cos_th[j], sin_th[j]
+        y_u *= phase_u
+        y_d *= phase_d
+        # the projected database state in the up and down eigenbases
+        z_u = c * y_u + s * _apply(F.M, y_d)
+        z_d = c * _apply(F.MT, y_u) + s * y_d
+        # a dot per column sums in the same order for any batch width
+        p = np.dot(ones, z_u.real * z_u.real + z_u.imag * z_u.imag).astype(float)
+        dead = p == 0.0
+        survival *= p
+        frozen = survival < SURVIVAL_FLOOR
+        underflow |= frozen
+        survival[frozen] = 0.0
+        norm = np.sqrt(np.where(dead, 1.0, p).astype(rl))
+        z_u /= norm
+        z_d /= norm
+        amp = np.dot(u_w, z_u.view(rl).reshape(N, -1))  # <w|db>: re, im per case
+        f = (amp[0::2] * amp[0::2] + amp[1::2] * amp[1::2]).astype(float)
+        fid[:, j] = np.where(dead, fid[:, j - 1], f)
+        sur[:, j] = survival
+        y_u = c * z_u
+        y_d = s * z_d
+        if state_callback is not None and not dead[0]:
+            up = _apply(F.U_u, y_u)[:, 0]
+            dn = _apply(F.U_u, _apply(F.M, y_d))[:, 0]
+            joint = np.concatenate(
+                [np.asarray(up, dtype=complex), np.asarray(dn, dtype=complex)]
+            )
+            state_callback(j, FullState(amplitudes=joint, survival=float(survival[0])))
+    return fid, sur, underflow
 
 
 def simulate_full_protocol(
@@ -169,82 +278,23 @@ def simulate_full_protocol(
     (the reduced operator is not tracked here).  ``state_callback`` receives
     the normalized joint state after every successful step.
     """
-    _check_size(N)
-    if not 0 <= w < N:
-        raise ValueError(f"target index w={w} out of range for N={N}")
     if int(round(params.N)) != N:
         raise ValueError(
             f"params.N={params.N!r} does not match the requested size N={N}"
         )
     if n_max is None:
         n_max = params.n_G
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if extended is None:
-        extended = N <= EXTENDED_PRECISION_MAX_N
 
-    (lam_u, U_u, UT_u), (lam_d, U_d, UT_d) = _block_propagator_factors(
-        N, w, params.epsilon, extended
-    )
-    cdtype = _CLD if extended else np.complex128
-    rl = _LD if extended else np.float64
-    dt = rl(params.delta_t)
-    phase_u = np.exp(-1j * (lam_u * dt)).astype(cdtype)
-    phase_d = np.exp(-1j * (lam_d * dt)).astype(cdtype)
-
-    s0 = (np.ones(N, dtype=rl) / np.sqrt(rl(N))).astype(cdtype)
-    theta0 = rl(params.theta0)
-    dtheta = rl(params.delta_theta)
-    up = np.cos(theta0) * s0
-    dn = np.sin(theta0) * s0
-
+    fid, sur, underflow = _propagate(N, w, [params], n_max, extended, state_callback)
     steps = np.arange(n_max + 1)
-    fid = np.empty(n_max + 1)
-    sur = np.empty(n_max + 1)
-    dist = np.full(n_max + 1, np.nan)
-    fid[0] = 1.0 / N
-    sur[0] = 1.0
-    underflow = False
-    survival = 1.0
-
-    for j in range(1, n_max + 1):
-        up = _apply(U_u, phase_u * _apply(UT_u, up))
-        dn = _apply(U_d, phase_d * _apply(UT_d, dn))
-        th = theta0 + j * dtheta
-        cth, sth = np.cos(th), np.sin(th)
-        db = cth * up + sth * dn
-        p = float((db.conj() @ db).real)
-        if p == 0.0:
-            underflow = True
-            fid[j] = fid[j - 1]
-            sur[j] = 0.0
-            survival = 0.0
-            up = cth * db
-            dn = sth * db
-            continue
-        survival *= p
-        if survival < SURVIVAL_FLOOR:
-            underflow = True
-            survival = 0.0
-        db = db / np.sqrt(rl(p))
-        up = cth * db
-        dn = sth * db
-        fid[j] = float(abs(db[w]) ** 2)
-        sur[j] = survival
-        if state_callback is not None:
-            joint = np.concatenate(
-                [np.asarray(up, dtype=complex), np.asarray(dn, dtype=complex)]
-            )
-            state_callback(j, FullState(amplitudes=joint, survival=survival))
-
     return RunRecord(
         params=params,
         steps=steps,
         times=steps * params.delta_t,
-        fidelity=fid,
-        survival=sur,
-        distance=dist,
-        underflow=underflow,
+        fidelity=fid[0],
+        survival=sur[0],
+        distance=np.full(n_max + 1, np.nan),
+        underflow=bool(underflow[0]),
         final_state=None,
     )
 
@@ -313,30 +363,43 @@ def default_equivalence_cases(
 def equivalence_suite(
     cases: Optional[list[EquivalenceCase]] = None,
     block_transform: Optional[Callable[[BlockHamiltonians], BlockHamiltonians]] = None,
+    jobs: int = 1,
 ) -> list[EquivalenceResult]:
     """Compare the subspace engine against the full-space simulation case by
-    case.  ``block_transform``, when given, perturbs the subspace engine's
-    block matrices before use (fault-injection hook for testing the suite's
-    own sensitivity)."""
+    case.  Consecutive cases that share (N, w, epsilon, steps) run through
+    the full space as one batch, and the batches fan out to ``jobs`` worker
+    processes; the results follow the case order either way.
+    ``block_transform``, when given, perturbs the subspace engine's block
+    matrices before use (fault-injection hook for testing the suite's own
+    sensitivity); it must pickle when ``jobs > 1``."""
     if cases is None:
         cases = default_equivalence_cases()
+    groups = [
+        list(group)
+        for _, group in groupby(cases, key=lambda c: (c.N, c.w, c.epsilon, c.steps))
+    ]
+    compare = partial(_compare_group, block_transform=block_transform)
+    return [r for results in parallel_map(compare, groups, jobs) for r in results]
+
+
+def _compare_group(
+    cases: list[EquivalenceCase],
+    block_transform: Optional[Callable[[BlockHamiltonians], BlockHamiltonians]],
+) -> list[EquivalenceResult]:
+    N, w, steps = cases[0].N, cases[0].w, cases[0].steps
+    params = [make_case_params(case) for case in cases]
+    fid, sur, _ = _propagate(N, w, params, steps)
     results = []
-    for case in cases:
-        params = make_case_params(case)
-        blocks = subspace_basis_matrices(params)
+    for case, p, full_f, full_p in zip(cases, params, fid, sur):
+        blocks = subspace_basis_matrices(p)
         if block_transform is not None:
             blocks = block_transform(blocks)
-        _, sub = accumulate_process(params, case.steps, blocks=blocks)
-        full = simulate_full_protocol(case.N, case.w, params, n_max=case.steps)
+        _, sub = accumulate_process(p, steps, blocks=blocks)
         results.append(
             EquivalenceResult(
                 case=case,
-                max_fidelity_deviation=float(
-                    np.max(np.abs(sub.fidelity - full.fidelity))
-                ),
-                max_survival_deviation=float(
-                    np.max(np.abs(sub.survival - full.survival))
-                ),
+                max_fidelity_deviation=float(np.max(np.abs(sub.fidelity - full_f))),
+                max_survival_deviation=float(np.max(np.abs(sub.survival - full_p))),
             )
         )
     return results

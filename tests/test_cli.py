@@ -371,6 +371,26 @@ class TestVerify:
     def test_oversized_request_is_config_error(self):
         assert main(["verify", "--n", "8192"]) == 2
 
+    def test_injected_fault_fails_in_worker_processes(self, capsys):
+        rc = main([
+            "verify", "--n", "8", "--steps", "40", "--inject-fault", "hdown-sign",
+            "--jobs", "2",
+        ])
+        assert rc == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_parallel_bytes_identical(self, tmp_path, capsys):
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"v{jobs}.csv"
+            rc = main(["verify", "--n", "16", "--steps", "40", "--out", str(out),
+                       "--jobs", jobs])
+            assert rc == 0
+            stdout = capsys.readouterr().out
+            meta = out.with_name(out.name + ".meta.json").read_bytes()
+            outputs.append((stdout, out.read_bytes(), meta))
+        assert outputs[0] == outputs[1]
+
 
 class TestEffCompare:
     def test_columns_agree_in_unitary_limit(self, tmp_path):

@@ -7,14 +7,18 @@ from zenogrover.fullspace import (
     EquivalenceCase,
     FullState,
     _apply,
+    _block,
     _block_propagator_factors,
+    _eigh_refined,
+    _propagate,
     build_full_hamiltonian,
     complement_weight,
     default_equivalence_cases,
     equivalence_suite,
+    make_case_params,
     simulate_full_protocol,
 )
-from zenogrover.model import grover_fidelity_closed_form, make_params
+from zenogrover.model import SURVIVAL_FLOOR, grover_fidelity_closed_form, make_params
 from zenogrover.stroboscopic import BlockHamiltonians, accumulate_process
 
 
@@ -139,14 +143,122 @@ class TestSimulate:
         assert np.max(np.abs(a.fidelity - b.fidelity)) < 1e-10
 
 
+def _reference_protocol(N, w, params, n_max, extended=True):
+    """The oracle loop this module used before the eigenbasis recurrence:
+    ``U diag(phase) Uᵀ`` applied to both ancilla components every step
+    (four long-double products).  The loop is kept verbatim as the
+    reference; returns (fidelity, survival, underflow)."""
+    factors = []
+    for coeff_s in (-1.0, +1.0):
+        if extended:
+            lam, U = _eigh_refined(N, w, -(1.0 + params.epsilon), coeff_s)
+        else:
+            lam, U = np.linalg.eigh(_block(N, w, -(1.0 + params.epsilon), coeff_s))
+        factors.append((lam, U, np.ascontiguousarray(U.T)))
+    (lam_u, U_u, UT_u), (lam_d, U_d, UT_d) = factors
+    cdtype = np.clongdouble if extended else np.complex128
+    rl = np.longdouble if extended else np.float64
+    dt = rl(params.delta_t)
+    phase_u = np.exp(-1j * (lam_u * dt)).astype(cdtype)
+    phase_d = np.exp(-1j * (lam_d * dt)).astype(cdtype)
+
+    s0 = (np.ones(N, dtype=rl) / np.sqrt(rl(N))).astype(cdtype)
+    theta0 = rl(params.theta0)
+    dtheta = rl(params.delta_theta)
+    up = np.cos(theta0) * s0
+    dn = np.sin(theta0) * s0
+
+    fid = np.empty(n_max + 1)
+    sur = np.empty(n_max + 1)
+    fid[0] = 1.0 / N
+    sur[0] = 1.0
+    underflow = False
+    survival = 1.0
+
+    for j in range(1, n_max + 1):
+        up = _apply(U_u, phase_u * _apply(UT_u, up))
+        dn = _apply(U_d, phase_d * _apply(UT_d, dn))
+        th = theta0 + j * dtheta
+        cth, sth = np.cos(th), np.sin(th)
+        db = cth * up + sth * dn
+        p = float((db.conj() @ db).real)
+        if p == 0.0:
+            underflow = True
+            fid[j] = fid[j - 1]
+            sur[j] = 0.0
+            survival = 0.0
+            up = cth * db
+            dn = sth * db
+            continue
+        survival *= p
+        if survival < SURVIVAL_FLOOR:
+            underflow = True
+            survival = 0.0
+        db = db / np.sqrt(rl(p))
+        up = cth * db
+        dn = sth * db
+        fid[j] = float(abs(db[w]) ** 2)
+        sur[j] = survival
+    return fid, sur, underflow
+
+
+def _first_zero(survival):
+    zero = np.flatnonzero(survival == 0.0)
+    return int(zero[0]) if zero.size else None
+
+
+#: (delta_t, delta_theta, epsilon, steps); the last two freeze survival at
+#: SURVIVAL_FLOOR (steps 10 and ~600)
+REFERENCE_CASES = {
+    "plain": (1.0, 0.01, 0.0, 200),
+    "detuned": (math.pi + 0.2, 0.005, 0.07, 150),
+    "annihilation": (1.0, math.pi / 2, 0.0, 20),
+    "deep-damping": (math.pi, 1.0, 0.0, 700),
+}
+
+
+class TestAgainstFourProductLoop:
+    @pytest.mark.parametrize("extended", [True, False])
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    @pytest.mark.parametrize("N", [2, 16, 129])
+    def test_matches_reference(self, N, case, extended):
+        dt, dth, eps, steps = REFERENCE_CASES[case]
+        w = N // 3
+        params = make_params(float(N), dt, delta_theta=dth, epsilon=eps, allow_short=True)
+        ref_f, ref_p, ref_underflow = _reference_protocol(N, w, params, steps, extended)
+        record = simulate_full_protocol(N, w, params, n_max=steps, extended=extended)
+        assert np.max(np.abs(record.fidelity - ref_f)) <= 1e-11
+        assert np.max(np.abs(record.survival - ref_p)) <= 1e-11
+        assert record.underflow == ref_underflow
+        assert _first_zero(record.survival) == _first_zero(ref_p)
+        if case in ("annihilation", "deep-damping"):
+            assert ref_underflow
+
+
+class TestBatch:
+    @pytest.mark.parametrize("N", [16, 129])
+    def test_group_member_equals_single_run(self, N):
+        cases = default_equivalence_cases(sizes=(N,), steps=120)[:9]
+        assert len({(c.N, c.w, c.epsilon) for c in cases}) == 1
+        params = [make_case_params(c) for c in cases]
+        fid, sur, _ = _propagate(N, cases[0].w, params, 120)
+        for b, p in enumerate(params):
+            alone = simulate_full_protocol(N, cases[0].w, p, n_max=120)
+            assert np.array_equal(fid[b], alone.fidelity)
+            assert np.array_equal(sur[b], alone.survival)
+
+
 class TestApply:
     @pytest.mark.parametrize("N", [2, 16, 129])
     def test_long_double_is_bit_identical_to_complex_matmul(self, N):
         rng = np.random.default_rng(N)
         U = rng.standard_normal((N, N)).astype(np.longdouble)
-        v = (rng.standard_normal(N) + 1j * rng.standard_normal(N)).astype(np.clongdouble)
-        for M in (U, np.ascontiguousarray(U.T)):
-            assert np.array_equal(_apply(M, v), M.astype(np.clongdouble) @ v)
+        for shape in ((N,), (N, 3)):
+            v = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
+                np.clongdouble
+            )
+            for M in (U, np.ascontiguousarray(U.T)):
+                assert np.array_equal(_apply(M, v), M.astype(np.clongdouble) @ v)
 
     @pytest.mark.parametrize("N", [2, 16, 129])
     def test_double_matches_complex_matmul(self, N):
@@ -160,10 +272,16 @@ class TestApply:
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("extended", [True, False])
-    def test_factors_cache_the_transpose(self, extended):
-        for lam, U, UT in _block_propagator_factors(16, 3, 0.0, extended):
-            assert UT.flags.c_contiguous
-            assert np.array_equal(UT, U.T)
+    def test_factors_cache_the_coupling(self, extended):
+        N, w, eps = 16, 3, 0.0
+        F = _block_propagator_factors(N, w, eps, extended)
+        assert F.M.flags.c_contiguous and F.MT.flags.c_contiguous
+        assert np.array_equal(F.MT, F.M.T)
+        if extended:
+            _, U_d = _eigh_refined(N, w, -(1.0 + eps), +1.0)
+        else:
+            _, U_d = np.linalg.eigh(_block(N, w, -(1.0 + eps), +1.0))
+        assert np.array_equal(F.M, F.U_u.T @ U_d)
 
 
 class TestFullState:
