@@ -12,8 +12,6 @@ from .model import (
     DampedTwoLevelModel,
     RunRecord,
     SearchParams,
-    StepOperator,
-    SubspaceState,
     grover_fidelity_closed_form,
     grover_step_count,
     make_params,

@@ -485,7 +485,8 @@ def run_config(config: RunConfig) -> int:
         if config.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {config.jobs}")
         return _COMMANDS[config.mode][0](config)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+        # MemoryError: a step count too large to record, e.g. N = 1e30 at k = 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

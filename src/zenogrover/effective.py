@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from . import stroboscopic
-from .model import DampedTwoLevelModel, RunRecord, SearchParams, StepOperator
+from .model import DampedTwoLevelModel, RunRecord, SearchParams
 
 __all__ = [
     "EffectiveHamiltonian",
@@ -36,8 +36,6 @@ __all__ = [
     "integrate_effective",
     "unitary_approx_fidelity",
     "damped_eigenanalysis",
-    "damping_rate_estimate",
-    "heuristic_regime",
 ]
 
 
@@ -45,15 +43,13 @@ __all__ = [
 class EffectiveHamiltonian:
     """Generator split H = A - iB with A, B Hermitian.
 
-    ``time_label`` is the step midpoint (piecewise-constant extraction) or the
-    continuous time the generator was evaluated at.  ``schur_fallback`` marks
-    extractions that hit a (near-)defective operator and took the closed-form
-    defective logarithm instead of the eigendecomposition route.
+    ``schur_fallback`` marks extractions that hit a (near-)defective operator
+    and took the closed-form defective logarithm instead of the
+    eigendecomposition route.
     """
 
     hermitian_part: np.ndarray
     antihermitian_part: np.ndarray
-    time_label: float = 0.0
     schur_fallback: bool = False
 
     @property
@@ -61,22 +57,15 @@ class EffectiveHamiltonian:
         return self.hermitian_part - 1j * self.antihermitian_part
 
 
-def _split(H: np.ndarray, time_label: float, fallback: bool) -> EffectiveHamiltonian:
+def _split(H: np.ndarray, fallback: bool) -> EffectiveHamiltonian:
     A = 0.5 * (H + H.conj().T)
     B = 0.5j * (H - H.conj().T)
     return EffectiveHamiltonian(
-        hermitian_part=A,
-        antihermitian_part=B,
-        time_label=time_label,
-        schur_fallback=fallback,
+        hermitian_part=A, antihermitian_part=B, schur_fallback=fallback
     )
 
 
-def extract_step_hamiltonian(
-    V: Union[StepOperator, np.ndarray],
-    delta_t: float,
-    time_label: Optional[float] = None,
-) -> EffectiveHamiltonian:
+def extract_step_hamiltonian(V: np.ndarray, delta_t: float) -> EffectiveHamiltonian:
     """Invert V = exp(-i H dt) on the principal branch: H = (i/dt) log V.
 
     The logarithm is taken through the eigendecomposition of the (generally
@@ -88,13 +77,7 @@ def extract_step_hamiltonian(
     generator is only defined modulo 2*pi/dt in its eigenphases; compare
     dynamics, not raw entries, across branches.
     """
-    if isinstance(V, StepOperator):
-        if time_label is None:
-            time_label = (V.step_index - 0.5) * delta_t
-        V = V.matrix
     V = np.asarray(V, dtype=complex)
-    if time_label is None:
-        time_label = 0.0
 
     sv = np.linalg.svd(V, compute_uv=False)
     if sv[-1] <= 1e-14:
@@ -108,10 +91,10 @@ def extract_step_hamiltonian(
     ):
         mu = 0.5 * (V[0, 0] + V[1, 1])
         logV = cmath.log(mu) * np.eye(2) + (V - mu * np.eye(2)) / mu
-        return _split((1j / delta_t) * logV, time_label, True)
+        return _split((1j / delta_t) * logV, True)
 
     logV = (Wv * np.log(lam)) @ np.linalg.inv(Wv)
-    return _split((1j / delta_t) * logV, time_label, False)
+    return _split((1j / delta_t) * logV, False)
 
 
 def _generator(params: SearchParams, t: Union[float, np.ndarray]) -> tuple:
@@ -137,7 +120,7 @@ def continuous_heff(t: float, params: SearchParams) -> EffectiveHamiltonian:
     h01, h11 = _generator(params, t)
     A = np.array([[-params.epsilon, h01], [h01, h11.real]], dtype=complex)
     B = np.array([[0.0, 0.0], [0.0, -h11.imag]], dtype=complex)
-    return EffectiveHamiltonian(hermitian_part=A, antihermitian_part=B, time_label=t)
+    return EffectiveHamiltonian(hermitian_part=A, antihermitian_part=B)
 
 
 def _default_substeps(params: SearchParams) -> int:
@@ -293,20 +276,3 @@ def damped_eigenanalysis(x: float, gamma: float) -> DampedTwoLevelModel:
         overlap_s=overlap,
         asymptotic_state=asym,
     )
-
-
-def damping_rate_estimate(params: SearchParams) -> float:
-    """Heuristic damping rate tau^2/dt of the residual direction."""
-    return params.tau**2 / params.delta_t
-
-
-def heuristic_regime(params: SearchParams, margin: float = 3.0) -> str:
-    """Classify the run: 'saturating' when |tau| >> sqrt(x dt) (the target
-    becomes an attractor), 'unitary-like' when |tau| << sqrt(x dt), and
-    'crossover' in between.  Reporting aid only; nothing dynamical."""
-    boundary = math.sqrt(params.x * params.delta_t)
-    if abs(params.tau) >= margin * boundary:
-        return "saturating"
-    if abs(params.tau) * margin <= boundary:
-        return "unitary-like"
-    return "crossover"

@@ -71,14 +71,6 @@ class FullState:
     def N(self) -> int:
         return self.amplitudes.size // 2
 
-    def database_part(self, ancilla_amplitudes: np.ndarray) -> np.ndarray:
-        """Contract the ancilla factor with the given 2-vector."""
-        N = self.N
-        return (
-            np.conj(ancilla_amplitudes[0]) * self.amplitudes[:N]
-            + np.conj(ancilla_amplitudes[1]) * self.amplitudes[N:]
-        )
-
 
 def _check_target(N: int, w: int) -> None:
     if not (2 <= N <= MAX_FULLSPACE_N):
@@ -295,7 +287,6 @@ def simulate_full_protocol(
         survival=sur[0],
         distance=np.full(n_max + 1, np.nan),
         underflow=bool(underflow[0]),
-        final_state=None,
     )
 
 

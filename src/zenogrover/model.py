@@ -16,8 +16,6 @@ import numpy as np
 
 __all__ = [
     "SearchParams",
-    "SubspaceState",
-    "StepOperator",
     "RunRecord",
     "DampedTwoLevelModel",
     "make_params",
@@ -72,7 +70,6 @@ class SearchParams:
     tau: float
     alpha: float
     n_G: int
-    built_from: str  # "delta_t" | "k_tau"
 
     def readout_time(self) -> float:
         """Time of the default readout step, n_G * delta_t."""
@@ -121,7 +118,6 @@ def make_params(
         if not delta_t > 0:
             raise ValueError(f"delta_t must be positive, got {delta_t!r}")
         k_eff, tau_eff = split_step_duration(delta_t)
-        built_from = "delta_t"
     else:
         if k is None or tau is None:
             raise ValueError("need delta_t or the pair (k, tau)")
@@ -131,7 +127,6 @@ def make_params(
             raise ValueError(f"|tau| must be < pi/2, got {tau!r}")
         k_eff, tau_eff = int(k), float(tau)
         delta_t = math.pi * k_eff + tau_eff
-        built_from = "k_tau"
 
     x = overlap_x(N)
     if delta_theta is not None:
@@ -160,7 +155,6 @@ def make_params(
         tau=tau_eff,
         alpha=math.sqrt(N) * dtheta / delta_t,
         n_G=n_G,
-        built_from=built_from,
     )
 
 
@@ -176,41 +170,6 @@ def grover_fidelity_closed_form(t: float, N: float) -> float:
         raise ValueError(f"database size must satisfy N >= 2, got {N!r}")
     x = overlap_x(N)
     return x * x * math.cos(x * t) ** 2 + math.sin(x * t) ** 2
-
-
-@dataclass(frozen=True)
-class SubspaceState:
-    """Complex amplitude pair on the (target, residual) basis plus survival."""
-
-    amp_w: complex
-    amp_r: complex
-    survival: float = 1.0
-
-    @classmethod
-    def initial(cls, params: SearchParams) -> "SubspaceState":
-        """The uniform superposition: (x, sqrt(1-x^2)), survival 1."""
-        x = params.x
-        return cls(complex(x), complex(math.sqrt(1.0 - x * x)), 1.0)
-
-    @property
-    def norm_sq(self) -> float:
-        return abs(self.amp_w) ** 2 + abs(self.amp_r) ** 2
-
-    @property
-    def fidelity(self) -> float:
-        """Squared overlap with the target direction."""
-        return abs(self.amp_w) ** 2 / self.norm_sq
-
-
-@dataclass(frozen=True)
-class StepOperator:
-    """One evolve-and-project cycle as a 2x2 operator on the search subspace."""
-
-    matrix: np.ndarray
-    step_index: int
-    c_j: float
-    s_j: float
-    distance: float  # distance from unitarity of ``matrix``
 
 
 @dataclass(frozen=True)
@@ -231,7 +190,6 @@ class RunRecord:
     survival: np.ndarray
     distance: np.ndarray
     underflow: bool = False
-    final_state: Optional[SubspaceState] = None
 
     @property
     def final_fidelity(self) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import RunRecord, SearchParams, make_params, overlap_x
+from .model import SearchParams, make_params, overlap_x
 from .stroboscopic import run_protocol
 
 __all__ = [
@@ -133,10 +133,6 @@ def plan_scaled_instance(
 
 @dataclass(frozen=True)
 class ScaledCheckReport:
-    plan: ScalePlan
-    alpha: float
-    reference: RunRecord
-    scaled: RunRecord
     max_fidelity_deviation: float
     max_survival_deviation: float
 
@@ -153,10 +149,6 @@ def scaled_process_check(
     r1 = run_protocol(p1, n)
     r2 = run_protocol(p2, n)
     return ScaledCheckReport(
-        plan=plan,
-        alpha=alpha,
-        reference=r1,
-        scaled=r2,
         max_fidelity_deviation=float(np.max(np.abs(r1.fidelity - r2.fidelity))),
         max_survival_deviation=float(np.max(np.abs(r1.survival - r2.survival))),
     )

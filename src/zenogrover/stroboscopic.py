@@ -22,7 +22,7 @@ distance of the accumulated operator.
 
 One numpy kernel, :func:`_scan`, multiplies out the steps of every 2x2 engine;
 the effective engine feeds it its own step propagators.  Inside chunks of
-_CHUNK steps aligned to the step index, prefix products take _CHUNK rounds
+_CHUNK steps aligned to the step index, prefix products take _CHUNK - 1 rounds
 vectorised across the chunks (Blelloch, "Prefix sums and their applications",
 1990); a carry, the product of all earlier chunks, joins them.  Each product
 is a matrix rescaled by a power of two, which is exact, plus an integer
@@ -38,13 +38,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .model import (
-    SURVIVAL_FLOOR,
-    RunRecord,
-    SearchParams,
-    StepOperator,
-    SubspaceState,
-)
+from .model import SURVIVAL_FLOOR, RunRecord, SearchParams
 
 __all__ = [
     "BlockHamiltonians",
@@ -113,13 +107,6 @@ def distance_from_unitarity(V: np.ndarray) -> float:
     return 1.0 - 0.5 * float(np.sum(np.abs(V) ** 2))
 
 
-def _cycle_weights(j: int, params: SearchParams) -> tuple[float, float]:
-    """The (C_j, S_j) ancilla-projection weights of cycle j."""
-    th_prev = params.theta0 + (j - 1) * params.delta_theta
-    th_cur = params.theta0 + j * params.delta_theta
-    return math.cos(th_prev) * math.cos(th_cur), math.sin(th_prev) * math.sin(th_cur)
-
-
 def _engine_matrices(
     params: SearchParams, engine: str, blocks: Optional[BlockHamiltonians]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -170,34 +157,26 @@ def _step_entries(
     )
 
 
-def _step_operator(
-    j: int, params: SearchParams, engine: str, blocks: Optional[BlockHamiltonians]
-) -> StepOperator:
+def _step_operator(j: int, params: SearchParams, engine: str) -> np.ndarray:
     if j < 1:
         raise ValueError(f"step index must be >= 1, got {j}")
-    P, Q = _engine_matrices(params, engine, blocks)
-    m = _cycle_entries(params, P, Q, j, j + 1).reshape(2, 2)
-    cj, sj = _cycle_weights(j, params)
-    return StepOperator(
-        matrix=m, step_index=j, c_j=cj, s_j=sj, distance=distance_from_unitarity(m)
-    )
+    P, Q = _engine_matrices(params, engine, None)
+    return _cycle_entries(params, P, Q, j, j + 1).reshape(2, 2)
 
 
-def exact_step_operator(
-    j: int, params: SearchParams, blocks: Optional[BlockHamiltonians] = None
-) -> StepOperator:
+def exact_step_operator(j: int, params: SearchParams) -> np.ndarray:
     """The exact cycle operator V_j = C_j exp(-i h_up dt) + S_j exp(-i h_dn dt)."""
-    return _step_operator(j, params, "exact", blocks)
+    return _step_operator(j, params, "exact")
 
 
-def approx_step_operator(j: int, params: SearchParams) -> StepOperator:
+def approx_step_operator(j: int, params: SearchParams) -> np.ndarray:
     """Small-overlap cycle operator (x -> 0, x*dt << 1), global phase dropped.
 
     Entries: diagonal (C_j + S_j, C_j + S_j e^{-2i dt}), off-diagonal
     i C_j x dt - (S_j x / 2)(1 - e^{-2i dt}) on both sides.  Valid regime is
     the caller's responsibility.
     """
-    return _step_operator(j, params, "approx", None)
+    return _step_operator(j, params, "approx")
 
 
 def accumulate_process(
@@ -251,7 +230,7 @@ def _scan(entries: Iterable[np.ndarray], record: bool) -> Iterator[tuple]:
     yield V(j) = W 2^g (W of shape (i, 2, 2, c), g of shape (i, c)) after
     every step (i = _CHUNK) if ``record``, else after each chunk (i = 1).
 
-    The prefix products inside the chunks take _CHUNK rounds vectorised
+    The prefix products inside the chunks take _CHUNK - 1 rounds vectorised
     across the chunks.  The carry k 2^b, the product of all earlier chunks,
     passes from chunk to chunk and multiplies the prefixes in one broadcast."""
     k0, k1, k2, k3, b = 1.0 + 0j, 0j, 0j, 1.0 + 0j, 0
@@ -311,7 +290,6 @@ def _propagate(
             j += k
     c, i = divmod(k - 1, _CHUNK)  # step n is step i of chunk c of the last batch
     V = W[i, :, :, c] * np.ldexp(1.0, g[i, c])
-    state = psi[i, :, c] / (math.sqrt(norm[i, c]) if norm[i, c] > 0.0 else 1.0)
     annihilated = np.isnan(fid)
     dead = annihilated | (sur < SURVIVAL_FLOOR)
     if dead.any():
@@ -325,31 +303,23 @@ def _propagate(
         survival=sur,
         distance=dist,
         underflow=bool(dead.any()),
-        final_state=SubspaceState(complex(state[0]), complex(state[1]), sur[-1]),
     )
     return V, record
 
 
 def run_protocol(
-    params: SearchParams,
-    n_max: Optional[int] = None,
-    engine: str = "exact",
-    blocks: Optional[BlockHamiltonians] = None,
+    params: SearchParams, n_max: Optional[int] = None, engine: str = "exact"
 ) -> RunRecord:
     """Run the full protocol; n_max defaults to the search step count n_G."""
     if n_max is None:
         n_max = params.n_G
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _, record = accumulate_process(params, n_max, engine=engine, blocks=blocks)
+    _, record = accumulate_process(params, n_max, engine=engine)
     return record
 
 
-def final_distance(
-    params: SearchParams,
-    n: Optional[int] = None,
-    blocks: Optional[BlockHamiltonians] = None,
-) -> float:
+def final_distance(params: SearchParams, n: Optional[int] = None) -> float:
     """Unitarity distance d(V(n)) without trajectory recording (sweep helper).
 
     Same entries and products as :func:`accumulate_process`, so the result
@@ -359,6 +329,6 @@ def final_distance(
         n = params.n_G
     if n < 1:
         raise ValueError(f"need at least one step, got n={n}")
-    for W, g in _scan(_step_entries(params, n, "exact", blocks), record=False):
+    for W, g in _scan(_step_entries(params, n, "exact", None), record=False):
         pass  # the last chunk of the last batch ends at step n
     return float(_distance(W[..., -1:], g[..., -1:])[0, 0])

@@ -176,7 +176,7 @@ def test_criterion_7_effective_model():
         op = exact_step_operator(int(rng.integers(1, 10_000)), p)
         h = extract_step_hamiltonian(op, p.delta_t)
         back = scipy.linalg.expm(-1j * h.matrix * p.delta_t)
-        worst_rt = max(worst_rt, float(np.max(np.abs(back - op.matrix))))
+        worst_rt = max(worst_rt, float(np.max(np.abs(back - op))))
         n_checked += 1
     rt_ok = worst_rt < 1e-10
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,9 +103,13 @@ class TestBadInput:
             ["sweep-dt", "--n", "1e6", "--alpha", "0.3", "--grid", "3:3.2:3",
              "--jobs", "0"],
             ["verify", "--n", "2.5"],
+            # 4.7e14 steps: the 3.3 PiB record exceeds any 48-bit address
+            # space, so the allocation fails before it touches memory
+            ["run", "--n", "1e30", "--k", "1", "--tau", "0.2", "--alpha", "0.3"],
         ],
         ids=["alpha-nan", "eps-inf", "n-inf", "unwritable-out", "verify-n-inf",
-             "plan-nr-inf", "sweep-dt-steps-0", "jobs-0", "verify-n-non-integer"],
+             "plan-nr-inf", "sweep-dt-steps-0", "jobs-0", "verify-n-non-integer",
+             "record-too-large"],
     )
     def test_exits_2_with_message(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setenv("ZENOGROVER_OUTDIR", str(tmp_path))
@@ -240,6 +245,12 @@ class TestReadme:
         parser = build_parser()
         for line in lines:
             parser.parse_args(line[1:])
+
+    def test_library_example_runs(self, capsys):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], str(README), "exec"), {})
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 class TestPrintConfig:

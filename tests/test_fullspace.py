@@ -5,7 +5,6 @@ import pytest
 
 from zenogrover.fullspace import (
     EquivalenceCase,
-    FullState,
     _apply,
     _block,
     _block_propagator_factors,
@@ -282,15 +281,6 @@ class TestApply:
         else:
             _, U_d = np.linalg.eigh(_block(N, w, -(1.0 + eps), +1.0))
         assert np.array_equal(F.M, F.U_u.T @ U_d)
-
-
-class TestFullState:
-    def test_database_contraction(self):
-        amps = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2)
-        state = FullState(amplitudes=amps, survival=1.0)
-        assert state.N == 2
-        db = state.database_part(np.array([1.0, 0.0]))
-        np.testing.assert_allclose(db, [1 / math.sqrt(2), 0.0])
 
 
 class TestEquivalenceSuite:

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenogrover.model import (
-    SubspaceState,
     grover_fidelity_closed_form,
     grover_step_count,
     make_params,
@@ -26,7 +25,6 @@ class TestMakeParams:
         assert p.delta_t == math.pi + 0.2
         assert p.delta_theta == pytest.approx(0.3 * p.delta_t / 1e3, rel=1e-15)
         assert p.alpha == pytest.approx(0.3, rel=1e-12)
-        assert p.built_from == "k_tau"
 
     def test_rejects_small_database(self):
         with pytest.raises(ValueError):
@@ -128,12 +126,3 @@ class TestClosedFormFidelity:
         assert 1.0 / N - 1e-12 <= f <= 1.0 + 1e-12
         f_shift = grover_fidelity_closed_form(t + math.pi / x, N)
         assert f_shift == pytest.approx(f, abs=1e-9)
-
-
-class TestSubspaceState:
-    def test_initial_state(self):
-        p = make_params(1e4, 1.0)
-        s = SubspaceState.initial(p)
-        assert s.norm_sq == pytest.approx(1.0, abs=1e-15)
-        assert s.survival == 1.0
-        assert s.fidelity == pytest.approx(1e-4, rel=1e-12)
