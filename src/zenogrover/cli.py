@@ -25,7 +25,12 @@ import numpy as np
 
 from . import __version__
 from .effective import integrate_effective, unitary_approx_fidelity
-from .fullspace import MAX_FULLSPACE_N, default_equivalence_cases, equivalence_suite
+from .fullspace import (
+    EQUIVALENCE_TOLERANCE,
+    MAX_FULLSPACE_N,
+    default_equivalence_cases,
+    equivalence_suite,
+)
 from .model import SearchParams, grover_fidelity_closed_form, make_params
 from .scaling import (
     parallel_map,
@@ -90,19 +95,13 @@ class RunConfig:
     def build_params(self) -> SearchParams:
         if self.N is None:
             raise ConfigError("missing database size (--n)")
-        kwargs = dict(theta0=self.theta0, epsilon=self.epsilon)
-        if self.delta_theta is not None:
-            kwargs["delta_theta"] = self.delta_theta
-        elif self.alpha is not None:
-            kwargs["alpha"] = self.alpha
         try:
-            if self.delta_t is not None:
-                return make_params(self.N, self.delta_t, **kwargs)
-            if self.k is not None and self.tau is not None:
-                return make_params(self.N, k=self.k, tau=self.tau, **kwargs)
+            return make_params(
+                self.N, self.delta_t, k=self.k, tau=self.tau, alpha=self.alpha,
+                delta_theta=self.delta_theta, theta0=self.theta0, epsilon=self.epsilon,
+            )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        raise ConfigError("missing step duration: give --dt or both --k and --tau")
 
 
 def _fmt(v) -> str:
@@ -158,11 +157,10 @@ def _write_table(
 def cmd_run(config: RunConfig) -> int:
     """One trajectory: columns n, t, f, P, d."""
     params = config.build_params()
-    n = config.steps if config.steps is not None else params.n_G
     if config.engine in ("exact", "approx"):
-        record = run_protocol(params, n, engine=config.engine)
+        record = run_protocol(params, config.steps, engine=config.engine)
     elif config.engine == "effective":
-        record = integrate_effective(params, t_final=n * params.delta_t)
+        record = integrate_effective(params, config.steps)
     else:
         raise ConfigError(f"unknown engine {config.engine!r}")
     summary = {
@@ -188,7 +186,7 @@ def cmd_run(config: RunConfig) -> int:
 
 def _dt_point(config: RunConfig) -> tuple[float, int, float]:
     params = config.build_params()
-    n = config.steps if config.steps is not None else params.n_G
+    n = params.step_count(config.steps)
     return config.delta_t, n, final_distance(params, n)
 
 
@@ -329,11 +327,10 @@ def cmd_verify(config: RunConfig) -> int:
         transform = _fault_transform(config.inject_fault)
 
     results = equivalence_suite(cases, block_transform=transform, jobs=config.jobs)
-    tol = 1e-8
     failures = 0
     print(f"{'N':>5} {'w':>5} {'dt':>10} {'dtheta':>8} {'max|df|':>12} {'max|dP|':>12}  status")
     for r in results:
-        ok = r.passed(tol)
+        ok = r.passed()
         failures += not ok
         c = r.case
         print(
@@ -369,11 +366,11 @@ def cmd_verify(config: RunConfig) -> int:
                 "delta_theta": [r.case.delta_theta for r in results],
                 "max_f_dev": [r.max_fidelity_deviation for r in results],
                 "max_P_dev": [r.max_survival_deviation for r in results],
-                "passed": [r.passed(tol) for r in results],
+                "passed": [r.passed() for r in results],
             },
             {
                 "failures": failures,
-                "tolerance": tol,
+                "tolerance": EQUIVALENCE_TOLERANCE,
                 "unitary_limit_ok": unitary_ok,
             },
         )
@@ -388,12 +385,10 @@ def cmd_eff_compare(config: RunConfig) -> int:
     """Aligned fidelity series from the exact, continuous-effective, and
     closed-form engines, with pairwise max deviations."""
     params = config.build_params()
-    n = config.steps if config.steps is not None else params.n_G
-    exact = run_protocol(params, n)
-    eff = integrate_effective(params, t_final=n * params.delta_t)
+    exact = run_protocol(params, config.steps)
+    eff = integrate_effective(params, config.steps)
     f_eq11 = np.array([unitary_approx_fidelity(int(m), params) for m in exact.steps])
-    f_exact = exact.fidelity
-    f_eff = eff.fidelity[: len(f_exact)]
+    f_exact, f_eff = exact.fidelity, eff.fidelity
     summary = {
         "max_dev_eff_exact": float(np.max(np.abs(f_eff - f_exact))),
         "max_dev_eq11_exact": float(np.max(np.abs(f_eq11 - f_exact))),

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -190,25 +190,18 @@ def _effective_entries(params: SearchParams, n: int) -> Iterator[np.ndarray]:
         yield _ordered_product(factors).reshape(count, 4)
 
 
-def integrate_effective(
-    params: SearchParams, t_final: Optional[float] = None
-) -> RunRecord:
-    """Propagate |s> under the continuous generator and record f(t), P(t)
-    at every protocol step up to t_final (default: the readout time).
+def integrate_effective(params: SearchParams, n_max: Optional[int] = None) -> RunRecord:
+    """Propagate |s> under the continuous generator and record f and P at
+    every protocol step up to n_max (default: the search step count n_G).
 
     The step propagators come from :func:`_effective_entries` and run through
-    the same product kernel as the stroboscopic engines, so survival is the
-    squared norm of the propagated state (frozen at 0 below SURVIVAL_FLOOR)
-    and fidelity comes from its direction.  The engine tracks no unitarity
-    distance; that column is NaN.
+    the same product kernel and record rule as the stroboscopic engines, so
+    survival is the squared norm of the propagated state and fidelity comes
+    from its direction.  The engine tracks no unitarity distance; that column
+    is NaN.
     """
-    if t_final is None:
-        t_final = params.readout_time()
-    if not t_final > 0:
-        raise ValueError(f"t_final must be positive, got {t_final!r}")
-    n = max(1, int(round(t_final / params.delta_t)))
-    _, record = stroboscopic._propagate(params, _effective_entries(params, n), n)
-    return replace(record, distance=np.full(n + 1, np.nan))
+    n = params.step_count(n_max)
+    return stroboscopic._propagate(params, _effective_entries(params, n), n, distance=False)[1]
 
 
 def unitary_approx_fidelity(n: int, params: SearchParams) -> float:

@@ -30,19 +30,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import groupby
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .model import SURVIVAL_FLOOR, RunRecord, SearchParams, make_params
+from .model import RunRecord, SearchParams, make_params
 from .scaling import parallel_map
 from .stroboscopic import BlockHamiltonians, accumulate_process, subspace_basis_matrices
 
 __all__ = [
     "FullState",
     "MAX_FULLSPACE_N",
+    "EQUIVALENCE_TOLERANCE",
     "build_full_hamiltonian",
     "simulate_full_protocol",
     "complement_weight",
@@ -53,6 +54,8 @@ __all__ = [
 ]
 
 MAX_FULLSPACE_N = 4096
+#: largest per-step |f| and |P| deviation at which an equivalence case passes
+EQUIVALENCE_TOLERANCE = 1e-8
 #: refined (long double) pipeline is the default up to this size
 EXTENDED_PRECISION_MAX_N = 1024
 
@@ -65,7 +68,6 @@ class FullState:
     """Joint state, ancilla-major ordering (index = a*N + n, a in {up, down})."""
 
     amplitudes: np.ndarray
-    survival: float
 
     @property
     def N(self) -> int:
@@ -139,10 +141,6 @@ class _Factors(NamedTuple):
     s_d: np.ndarray  # U_dᵀ |s>
 
 
-# the default case matrix visits each (N, w, epsilon) as one group of
-# consecutive cases, so one entry serves it; an entry holds three N x N
-# matrices (48 MB in long double at N = 1024)
-@lru_cache(maxsize=1)
 def _block_propagator_factors(N: int, w: int, epsilon: float, extended: bool) -> _Factors:
     """Both blocks' eigenvalues, the up block's eigenvectors ``U_u``, the
     coupling ``M = U_uᵀ U_d`` with its contiguous transpose, and ``|s>`` in
@@ -184,16 +182,14 @@ def _propagate(
     N: int,
     w: int,
     params: Sequence[SearchParams],
-    n_max: int,
+    n_max: Optional[int],
     extended: Optional[bool] = None,
     state_callback: Optional[Callable[[int, FullState], None]] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run a batch of B protocols that share (N, w, epsilon) in the block
-    eigenbases; returns (B, n_max + 1) fidelity and survival arrays and the
-    per-case underflow flags.  ``state_callback`` sees case 0."""
+) -> list[RunRecord]:
+    """Run a batch of protocols that share (N, w, epsilon) in the block
+    eigenbases; returns one record per case.  ``state_callback`` sees case 0."""
     _check_target(N, w)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = params[0].step_count(n_max)
     if extended is None:
         extended = N <= EXTENDED_PRECISION_MAX_N
     F = _block_propagator_factors(N, w, params[0].epsilon, extended)
@@ -213,14 +209,9 @@ def _propagate(
     u_w = F.U_u[w]
     ones = np.ones(N, dtype=rl)
 
-    B = len(params)
-    fid = np.empty((B, n_max + 1))
-    sur = np.empty((B, n_max + 1))
-    fid[:, 0] = 1.0 / N
-    sur[:, 0] = 1.0
-    underflow = np.zeros(B, dtype=bool)
-    survival = np.ones(B)
-
+    # per step and case: the raw fidelity and the success probability p
+    fid = np.full((len(params), n_max + 1), 1.0 / N)
+    p = np.ones((len(params), n_max + 1))
     for j in range(1, n_max + 1):
         c, s = cos_th[j], sin_th[j]
         y_u *= phase_u
@@ -229,29 +220,23 @@ def _propagate(
         z_u = c * y_u + s * _apply(F.M, y_d)
         z_d = c * _apply(F.MT, y_u) + s * y_d
         # a dot per column sums in the same order for any batch width
-        p = np.dot(ones, z_u.real * z_u.real + z_u.imag * z_u.imag).astype(float)
-        dead = p == 0.0
-        survival *= p
-        frozen = survival < SURVIVAL_FLOOR
-        underflow |= frozen
-        survival[frozen] = 0.0
-        norm = np.sqrt(np.where(dead, 1.0, p).astype(rl))
+        p[:, j] = np.dot(ones, z_u.real * z_u.real + z_u.imag * z_u.imag)
+        norm = np.sqrt(np.where(p[:, j] == 0.0, 1.0, p[:, j]).astype(rl))
         z_u /= norm
         z_d /= norm
         amp = np.dot(u_w, z_u.view(rl).reshape(N, -1))  # <w|db>: re, im per case
-        f = (amp[0::2] * amp[0::2] + amp[1::2] * amp[1::2]).astype(float)
-        fid[:, j] = np.where(dead, fid[:, j - 1], f)
-        sur[:, j] = survival
+        fid[:, j] = amp[0::2] * amp[0::2] + amp[1::2] * amp[1::2]
         y_u = c * z_u
         y_d = s * z_d
-        if state_callback is not None and not dead[0]:
+        if state_callback is not None and p[0, j] != 0.0:
             up = _apply(F.U_u, y_u)[:, 0]
             dn = _apply(F.U_u, _apply(F.M, y_d))[:, 0]
-            joint = np.concatenate(
-                [np.asarray(up, dtype=complex), np.asarray(dn, dtype=complex)]
-            )
-            state_callback(j, FullState(amplitudes=joint, survival=float(survival[0])))
-    return fid, sur, underflow
+            state_callback(j, FullState(np.concatenate([up, dn]).astype(complex)))
+    # survival is the running product of p, in step order
+    return [
+        RunRecord.from_series(q, f, np.cumprod(pq), pq == 0.0)
+        for q, f, pq in zip(params, fid, p)
+    ]
 
 
 def simulate_full_protocol(
@@ -274,20 +259,7 @@ def simulate_full_protocol(
         raise ValueError(
             f"params.N={params.N!r} does not match the requested size N={N}"
         )
-    if n_max is None:
-        n_max = params.n_G
-
-    fid, sur, underflow = _propagate(N, w, [params], n_max, extended, state_callback)
-    steps = np.arange(n_max + 1)
-    return RunRecord(
-        params=params,
-        steps=steps,
-        times=steps * params.delta_t,
-        fidelity=fid[0],
-        survival=sur[0],
-        distance=np.full(n_max + 1, np.nan),
-        underflow=bool(underflow[0]),
-    )
+    return _propagate(N, w, [params], n_max, extended, state_callback)[0]
 
 
 def complement_weight(state: FullState, w: int) -> float:
@@ -326,22 +298,25 @@ class EquivalenceResult:
     max_fidelity_deviation: float
     max_survival_deviation: float
 
-    def passed(self, tol: float = 1e-8) -> bool:
+    def passed(self, tol: float = EQUIVALENCE_TOLERANCE) -> bool:
         return (
             self.max_fidelity_deviation < tol
             and self.max_survival_deviation < tol
         )
 
 
+#: seed of the target draw in :func:`default_equivalence_cases`
+_CASE_SEED = 20260809
+
+
 def default_equivalence_cases(
-    seed: int = 20260809,
     sizes: tuple[int, ...] = (4, 16, 64, 256),
     steps: int = 200,
 ) -> list[EquivalenceCase]:
     """The standard verification matrix: for each N in ``sizes``, min(3, N)
     distinct targets drawn from one seeded stream, dt in {1, pi, pi+0.2},
     dtheta in {0, 1e-3, 1e-2}, ``steps`` steps each."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CASE_SEED)
     cases = []
     for N in sizes:
         for w in rng.choice(N, size=min(3, N), replace=False):
@@ -379,9 +354,8 @@ def _compare_group(
 ) -> list[EquivalenceResult]:
     N, w, steps = cases[0].N, cases[0].w, cases[0].steps
     params = [make_case_params(case) for case in cases]
-    fid, sur, _ = _propagate(N, w, params, steps)
     results = []
-    for case, p, full_f, full_p in zip(cases, params, fid, sur):
+    for case, p, full in zip(cases, params, _propagate(N, w, params, steps)):
         blocks = subspace_basis_matrices(p)
         if block_transform is not None:
             blocks = block_transform(blocks)
@@ -389,8 +363,8 @@ def _compare_group(
         results.append(
             EquivalenceResult(
                 case=case,
-                max_fidelity_deviation=float(np.max(np.abs(sub.fidelity - full_f))),
-                max_survival_deviation=float(np.max(np.abs(sub.survival - full_p))),
+                max_fidelity_deviation=float(np.max(np.abs(sub.fidelity - full.fidelity))),
+                max_survival_deviation=float(np.max(np.abs(sub.survival - full.survival))),
             )
         )
     return results

@@ -75,6 +75,13 @@ class SearchParams:
         """Time of the default readout step, n_G * delta_t."""
         return self.n_G * self.delta_t
 
+    def step_count(self, n: Optional[int] = None) -> int:
+        """The number of steps every engine runs: ``n``, by default n_G."""
+        n = self.n_G if n is None else n
+        if n < 1:
+            raise ValueError(f"need at least one step, got {n}")
+        return n
+
 
 def make_params(
     N: float,
@@ -179,8 +186,6 @@ class RunRecord:
     Column arrays share index; row 0 is the initial state (survival 1,
     fidelity 1/N).  ``distance`` is the unitarity distance of the accumulated
     operator where the producing engine tracks one, NaN otherwise.
-    ``underflow`` marks runs whose survival dropped below the representable
-    floor; survival entries are frozen at 0 from that point on.
     """
 
     params: SearchParams
@@ -190,6 +195,39 @@ class RunRecord:
     survival: np.ndarray
     distance: np.ndarray
     underflow: bool = False
+
+    @classmethod
+    def from_series(
+        cls,
+        params: SearchParams,
+        fidelity: np.ndarray,
+        survival: np.ndarray,
+        annihilated: np.ndarray,
+        distance: Optional[np.ndarray] = None,
+    ) -> "RunRecord":
+        """The record of a run from its raw per-step series, row 0 the initial
+        state; every engine builds its records here.
+
+        Survival freezes at 0 from the first step that is ``annihilated`` (the
+        state was projected out exactly) or falls below SURVIVAL_FLOOR, and
+        such a run is flagged ``underflow``.  An annihilated step has no
+        direction to read, so fidelity holds its last value over it.
+        ``distance`` defaults to NaN for engines that track none.
+        """
+        steps = np.arange(len(survival))
+        dead = annihilated | (survival < SURVIVAL_FLOOR)
+        if dead.any():
+            survival = np.where(steps < np.argmax(dead), survival, 0.0)
+            fidelity = fidelity[np.maximum.accumulate(np.where(annihilated, 0, steps))]
+        return cls(
+            params=params,
+            steps=steps,
+            times=steps * params.delta_t,
+            fidelity=fidelity,
+            survival=survival,
+            distance=np.full(len(steps), np.nan) if distance is None else distance,
+            underflow=bool(dead.any()),
+        )
 
     @property
     def final_fidelity(self) -> float:

@@ -12,9 +12,8 @@ times.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,6 +35,8 @@ __all__ = [
 
 #: f_G below this is treated as a divergent-Q point
 QUALITY_FLOOR = 1e-12
+#: a plan is valid when its multiplier is within this many |tau| of an integer
+RESIDUAL_FACTOR = 0.1
 
 
 def scaling_k2(N1: float, k1: int, tau: float, N2: float) -> float:
@@ -66,7 +67,7 @@ class ScalePlan:
 
     ``k2_raw`` is the real-valued multiplier re-evaluated at the planned N2;
     ``integrality_residual`` its offset above the nearest lower integer.  The
-    plan is valid when k2_raw sits within ``0.1 |tau|`` (configurable) of an
+    plan is valid when k2_raw sits within ``RESIDUAL_FACTOR * |tau|`` of an
     integer.
     """
 
@@ -80,18 +81,8 @@ class ScalePlan:
     integrality_residual: float
     valid: bool
 
-    @property
-    def delta_t2(self) -> float:
-        return math.pi * self.k2 + self.tau
 
-
-def plan_scaled_instance(
-    N1: float,
-    k1: int,
-    tau: float,
-    N_r: float,
-    residual_factor: float = 0.1,
-) -> ScalePlan:
+def plan_scaled_instance(N1: float, k1: int, tau: float, N_r: float) -> ScalePlan:
     """Plan (N2, k2) for a requested size N_r >= N1.
 
     k2 is the ceiling of the real multiplier evaluated at N_r; N2 is then the
@@ -117,7 +108,7 @@ def plan_scaled_instance(
     # distance to the nearest integer decides validity; the floor residual is
     # reported as-is but is ill-conditioned just below an integer
     nearest = min(residual, 1.0 - residual)
-    valid = nearest < residual_factor * abs(tau) or k2 == k1
+    valid = nearest < RESIDUAL_FACTOR * abs(tau) or k2 == k1
     return ScalePlan(
         N1=float(N1),
         k1=int(k1),
@@ -137,15 +128,13 @@ class ScaledCheckReport:
     max_survival_deviation: float
 
 
-def scaled_process_check(
-    plan: ScalePlan, alpha: float, n_max: Optional[int] = None
-) -> ScaledCheckReport:
+def scaled_process_check(plan: ScalePlan, alpha: float) -> ScaledCheckReport:
     """Run the reference and the planned process and compare them step by
     step (step n of one against step n of the other: matching step indices
-    realize the time scaling t2 = t1 sqrt(N2/N1))."""
+    realize the time scaling t2 = t1 sqrt(N2/N1)) up to the earlier readout."""
     p1 = make_params(plan.N1, k=plan.k1, tau=plan.tau, alpha=alpha)
     p2 = make_params(float(plan.N2), k=plan.k2, tau=plan.tau, alpha=alpha)
-    n = min(p1.n_G, p2.n_G) if n_max is None else n_max
+    n = min(p1.n_G, p2.n_G)
     r1 = run_protocol(p1, n)
     r2 = run_protocol(p2, n)
     return ScaledCheckReport(
@@ -269,5 +258,8 @@ def parallel_map(fn: Callable, work: Sequence, jobs: int) -> list:
     workers = min(jobs, len(work))
     if workers <= 1:
         return [fn(w) for w in work]
+    # imported here: only a fan-out needs multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, work))

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .model import SURVIVAL_FLOOR, RunRecord, SearchParams
+from .model import RunRecord, SearchParams
 
 __all__ = [
     "BlockHamiltonians",
@@ -192,8 +192,7 @@ def accumulate_process(
     propagated state; fidelity is read from its direction, which the kernel
     keeps rescaled, so it stays meaningful long after survival underflows.
     """
-    if n < 1:
-        raise ValueError(f"need at least one step, got n={n}")
+    n = params.step_count(n)
     return _propagate(params, _step_entries(params, n, engine, blocks), n)
 
 
@@ -267,14 +266,13 @@ def _distance(W: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _propagate(
-    params: SearchParams, entries: Iterable[np.ndarray], n: int
+    params: SearchParams, entries: Iterable[np.ndarray], n: int, distance: bool = True
 ) -> tuple[np.ndarray, RunRecord]:
     """Multiply out the steps whose (k, 4) entry blocks ``entries`` yields, and
-    record V(j)|s> at every step: survival is its squared norm, frozen at 0
-    from the first step below SURVIVAL_FLOOR or annihilated exactly; fidelity
-    is read from its direction, and holds after an exact annihilation."""
+    record V(j)|s> at every step: survival is its squared norm and fidelity is
+    read from its direction (see :meth:`RunRecord.from_series`).  With
+    ``distance`` off the record's distance column is NaN."""
     x = params.x
-    steps = np.arange(n + 1)
     fid, sur, dist = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     fid[0], sur[0], dist[0] = x * x, 1.0, 0.0
     j = 1
@@ -290,19 +288,8 @@ def _propagate(
             j += k
     c, i = divmod(k - 1, _CHUNK)  # step n is step i of chunk c of the last batch
     V = W[i, :, :, c] * np.ldexp(1.0, g[i, c])
-    annihilated = np.isnan(fid)
-    dead = annihilated | (sur < SURVIVAL_FLOOR)
-    if dead.any():
-        sur[np.argmax(dead) :] = 0.0
-        fid = fid[np.maximum.accumulate(np.where(annihilated, 0, steps))]
-    record = RunRecord(
-        params=params,
-        steps=steps,
-        times=steps * params.delta_t,
-        fidelity=fid,
-        survival=sur,
-        distance=dist,
-        underflow=bool(dead.any()),
+    record = RunRecord.from_series(
+        params, fid, sur, np.isnan(fid), dist if distance else None
     )
     return V, record
 
@@ -311,12 +298,7 @@ def run_protocol(
     params: SearchParams, n_max: Optional[int] = None, engine: str = "exact"
 ) -> RunRecord:
     """Run the full protocol; n_max defaults to the search step count n_G."""
-    if n_max is None:
-        n_max = params.n_G
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _, record = accumulate_process(params, n_max, engine=engine)
-    return record
+    return accumulate_process(params, params.step_count(n_max), engine=engine)[1]
 
 
 def final_distance(params: SearchParams, n: Optional[int] = None) -> float:
@@ -325,10 +307,7 @@ def final_distance(params: SearchParams, n: Optional[int] = None) -> float:
     Same entries and products as :func:`accumulate_process`, so the result
     equals its last ``distance`` entry bit for bit.
     """
-    if n is None:
-        n = params.n_G
-    if n < 1:
-        raise ValueError(f"need at least one step, got n={n}")
+    n = params.step_count(n)
     for W, g in _scan(_step_entries(params, n, "exact", None), record=False):
         pass  # the last chunk of the last batch ends at step n
     return float(_distance(W[..., -1:], g[..., -1:])[0, 0])

@@ -219,7 +219,7 @@ def test_criterion_8_survival_monotonicity():
         n = min(p.n_G, 300)
         record = run_protocol(p, n)
         worst_engine = max(worst_engine, float(np.max(np.diff(record.survival))))
-        eff = integrate_effective(p, t_final=min(p.n_G, 100) * p.delta_t)
+        eff = integrate_effective(p, n_max=min(p.n_G, 100))
         worst_eff = max(worst_eff, float(np.max(np.diff(eff.survival))))
     ok = worst_engine <= 1e-12 and worst_eff <= 1e-12
     _report(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -106,10 +107,13 @@ class TestBadInput:
             # 4.7e14 steps: the 3.3 PiB record exceeds any 48-bit address
             # space, so the allocation fails before it touches memory
             ["run", "--n", "1e30", "--k", "1", "--tau", "0.2", "--alpha", "0.3"],
+            # conflicting ways to set one parameter: neither may be dropped
+            ["run", "--n", "1e6", "--dt", "1.0", "--k", "1", "--tau", "0.2"],
+            ["run", "--n", "1e6", "--dt", "1.0", "--alpha", "0.3", "--dtheta", "0.01"],
         ],
         ids=["alpha-nan", "eps-inf", "n-inf", "unwritable-out", "verify-n-inf",
              "plan-nr-inf", "sweep-dt-steps-0", "jobs-0", "verify-n-non-integer",
-             "record-too-large"],
+             "record-too-large", "dt-with-k-tau", "dtheta-with-alpha"],
     )
     def test_exits_2_with_message(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setenv("ZENOGROVER_OUTDIR", str(tmp_path))
@@ -139,7 +143,7 @@ class TestJobs:
             def map(self, fn, work):
                 return map(fn, work)
 
-        monkeypatch.setattr(zenogrover.scaling, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         assert main([
             "sweep-dt", "--n", "1e5", "--grid", "2.9:3.4:3", "--alpha", "0.3",
             "--jobs", "64", "--out", str(tmp_path / "dt.csv"),
@@ -430,16 +434,24 @@ class TestEffCompare:
 
 
 class TestStartup:
-    def test_cli_import_does_not_load_scipy(self):
+    @staticmethod
+    def _import_cli_without(module):
         # the child must import the same package as this test process
         env = dict(os.environ)
         src = str(Path(zenogrover.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         subprocess.run(
             [sys.executable, "-c",
-             "import zenogrover.cli, sys; assert 'scipy' not in sys.modules"],
+             f"import zenogrover.cli, sys; assert {module!r} not in sys.modules"],
             env=env, check=True, timeout=60,
         )
+
+    def test_cli_import_does_not_load_scipy(self):
+        self._import_cli_without("scipy")
+
+    def test_cli_import_does_not_load_the_process_pool(self):
+        # only a fan-out (--jobs > 1) needs multiprocessing
+        self._import_cli_without("concurrent.futures.process")
 
 
 class TestRoundTrip:

@@ -138,7 +138,7 @@ class TestIntegrate:
         # A(t) = (x/2)(t + sin(2 a x t)/(2 a x)); its fidelity must match
         # the closed-form sin^2(A(n)) across a full oscillation
         p = make_params(1e12, k=2000, tau=0.0, alpha=0.3)
-        record = integrate_effective(p, t_final=2 * p.readout_time())
+        record = integrate_effective(p, n_max=2 * p.n_G)
         for i, n in enumerate(record.steps):
             assert abs(
                 record.fidelity[i] - unitary_approx_fidelity(int(n), p)
@@ -147,7 +147,7 @@ class TestIntegrate:
     def test_saturation_regime(self):
         # sqrt(x dt) ~ 0.06 << tau = 0.2 << 1: the target is an attractor
         p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
-        record = integrate_effective(p, t_final=2 * p.readout_time())
+        record = integrate_effective(p, n_max=2 * p.n_G)
         assert record.fidelity[-1] > 0.95
         tail = record.fidelity[record.steps >= int(1.5 * p.n_G)]
         assert np.all(np.diff(tail) >= -1e-6)
@@ -171,7 +171,7 @@ class TestIntegrate:
     def test_rejects_bad_horizon(self):
         p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
         with pytest.raises(ValueError):
-            integrate_effective(p, t_final=0.0)
+            integrate_effective(p, n_max=0)
 
 
 def _rk4_reference(p, n, per_step=400):
@@ -228,7 +228,7 @@ class TestFineStepReference:
     def test_matches_fine_step_reference(self, N, k, tau, alpha, eps, steps):
         p = make_params(N, k=k, tau=tau, alpha=alpha, epsilon=eps)
         n = steps if steps is not None else p.n_G
-        record = integrate_effective(p, t_final=n * p.delta_t)
+        record = integrate_effective(p, n_max=n)
         f_ref, P_ref = _rk4_reference(p, n)
         assert np.max(np.abs(record.fidelity - f_ref)) <= 1e-10
         assert np.max(np.abs(record.survival - P_ref)) <= 1e-10

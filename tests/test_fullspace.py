@@ -240,11 +240,11 @@ class TestBatch:
         cases = default_equivalence_cases(sizes=(N,), steps=120)[:9]
         assert len({(c.N, c.w, c.epsilon) for c in cases}) == 1
         params = [make_case_params(c) for c in cases]
-        fid, sur, _ = _propagate(N, cases[0].w, params, 120)
-        for b, p in enumerate(params):
+        records = _propagate(N, cases[0].w, params, 120)
+        for record, p in zip(records, params):
             alone = simulate_full_protocol(N, cases[0].w, p, n_max=120)
-            assert np.array_equal(fid[b], alone.fidelity)
-            assert np.array_equal(sur[b], alone.survival)
+            assert np.array_equal(record.fidelity, alone.fidelity)
+            assert np.array_equal(record.survival, alone.survival)
 
 
 class TestApply:

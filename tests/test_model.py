@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenogrover.model import (
+    SURVIVAL_FLOOR,
+    RunRecord,
     grover_fidelity_closed_form,
     grover_step_count,
     make_params,
@@ -91,6 +94,51 @@ class TestMakeParams:
         k_back, tau_back = split_step_duration(dt)
         assert k_back == k
         assert abs(tau_back - tau) <= math.ulp(dt)
+
+
+#: synthetic raw series (fidelity, survival, annihilated) and the record
+#: columns (fidelity, survival, underflow) the rule makes of them
+RECORD_RULE_CASES = {
+    "live": (
+        [0.1, 0.2, 0.3], [1.0, 0.5, 0.25], [False, False, False],
+        [0.1, 0.2, 0.3], [1.0, 0.5, 0.25], False,
+    ),
+    # the freeze starts at the first step below the floor and never lifts
+    "below-floor": (
+        [0.1, 0.2, 0.3, 0.4, 0.5],
+        [1.0, 1e-200, 0.5 * SURVIVAL_FLOOR, 2 * SURVIVAL_FLOOR, 0.1],
+        [False] * 5,
+        [0.1, 0.2, 0.3, 0.4, 0.5], [1.0, 1e-200, 0.0, 0.0, 0.0], True,
+    ),
+    "at-floor-is-live": (
+        [0.1, 0.2], [1.0, SURVIVAL_FLOOR], [False, False],
+        [0.1, 0.2], [1.0, SURVIVAL_FLOOR], False,
+    ),
+    # fidelity holds its last value over every annihilated step
+    "annihilated": (
+        [0.1, 0.2, math.nan, 0.0], [1.0, 0.5, 0.0, 0.0], [False, False, True, True],
+        [0.1, 0.2, 0.2, 0.2], [1.0, 0.5, 0.0, 0.0], True,
+    ),
+    # an annihilated step freezes survival even if its raw value is not zero
+    "annihilated-above-floor": (
+        [0.1, 0.2, 0.3, 0.4], [1.0, 0.5, 0.4, 0.3], [False, True, False, True],
+        [0.1, 0.1, 0.3, 0.3], [1.0, 0.0, 0.0, 0.0], True,
+    ),
+}
+
+
+class TestRecordRule:
+    @pytest.mark.parametrize("case", list(RECORD_RULE_CASES))
+    def test_from_series(self, case):
+        fid, sur, dead, want_f, want_p, want_underflow = RECORD_RULE_CASES[case]
+        p = make_params(1e6, 2.0)
+        record = RunRecord.from_series(p, np.array(fid), np.array(sur), np.array(dead))
+        np.testing.assert_array_equal(record.fidelity, want_f)
+        np.testing.assert_array_equal(record.survival, want_p)
+        assert record.underflow is want_underflow
+        np.testing.assert_array_equal(record.steps, np.arange(len(fid)))
+        np.testing.assert_array_equal(record.times, 2.0 * np.arange(len(fid)))
+        assert np.all(np.isnan(record.distance))
 
 
 class TestClosedFormFidelity:
