@@ -30,8 +30,6 @@ from .stroboscopic import (
 )
 from .fullspace import (
     FullState,
-    build_full_hamiltonian,
-    complement_weight,
     equivalence_suite,
     simulate_full_protocol,
 )

@@ -124,23 +124,49 @@ def _resolve_out(config: RunConfig) -> Path:
     return outdir / f"{config.mode}.csv"
 
 
+#: rows formatted per write of :func:`_write_table`
+_ROWS_PER_WRITE = 1 << 16
+
+
+def _column(values: Sequence) -> tuple[str, Sequence]:
+    """One table column as the %-format of its cells and the values it
+    formats: ``%d`` for ints, ``%.17g`` for floats, and the text of
+    :func:`_fmt` (true/false) for any other column."""
+    if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
+    else:
+        values = [v.item() if isinstance(v, np.generic) else v for v in values]
+        kinds = set(map(type, values))
+        kind = "i" if kinds == {int} else "f" if kinds == {float} else "O"
+    if kind in "iu":
+        return "%d", values
+    if kind == "f":
+        return "%.17g", values
+    return "%s", [_fmt(v) for v in values]
+
+
 def _write_table(
     config: RunConfig,
     columns: dict[str, Sequence],
     summary: dict,
 ) -> Path:
+    """Write the table and its sidecar.  Rows go out in blocks of
+    _ROWS_PER_WRITE, each row one %-format, so no full text of the table is
+    built; the bytes are those of :func:`_fmt` on every cell."""
     path = _resolve_out(config)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# zenogrover version={__version__}"]
     cfg = config.to_dict()
-    for key in sorted(cfg):
-        lines.append(f"# {key}={json.dumps(cfg[key])}")
-    names = list(columns)
-    lines.append(",".join(names))
-    n_rows = len(columns[names[0]])
-    for i in range(n_rows):
-        lines.append(",".join(_fmt(columns[name][i]) for name in names))
-    path.write_text("\n".join(lines) + "\n")
+    header = [f"# zenogrover version={__version__}"]
+    header += [f"# {key}={json.dumps(cfg[key])}" for key in sorted(cfg)]
+    header.append(",".join(columns))
+    formats, cells = zip(*map(_column, columns.values()))
+    row = ",".join(formats) + "\n"
+    with path.open("w") as f:
+        f.write("\n".join(header) + "\n")
+        for start in range(0, len(cells[0]), _ROWS_PER_WRITE):
+            block = [c[start : start + _ROWS_PER_WRITE] for c in cells]
+            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+            f.write("".join([row % r for r in zip(*block)]))
 
     sidecar = path.with_name(path.name + ".meta.json")
     sidecar.write_text(

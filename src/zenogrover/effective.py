@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -160,48 +160,59 @@ def _ordered_product(F: np.ndarray) -> np.ndarray:
     return F[:, 0]
 
 
-def _effective_entries(params: SearchParams, n: int) -> Iterator[np.ndarray]:
-    """Entries (v00, v01, v10, v11) of the propagators of protocol steps
-    1, ..., n under the continuous generator, in order, as (k, 4) arrays.
+#: substeps per block of step propagators that the effective engine builds
+#: at once; bounds its memory for any step count
+_SUBSTEPS_PER_BLOCK = 4096
+
+
+def _effective_source(params: SearchParams) -> stroboscopic.StepSource:
+    """The propagators of the protocol steps under the continuous generator,
+    as a step source of the stroboscopic product kernel.
 
     Each step is m = _default_substeps(params) substeps of the fourth-order
     commutator-free scheme: exp(h(w2 A1 + w1 A2)), then exp(h(w1 A1 + w2 A2)),
     with A = -iH at the Gauss nodes 1/2 -+ sqrt(3)/6 of the substep and
     w = 1/4 -+ sqrt(3)/6 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
-    (2009); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)).  Blocks
-    hold at most stroboscopic._BLOCK_STEPS substeps.
+    (2009); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)).  Steps
+    are built in blocks of max(1, _SUBSTEPS_PER_BLOCK // m) and written to
+    their slots of the kernel's chunk layout.
     """
     m = _default_substeps(params)
     h = params.delta_t / m
     r3 = math.sqrt(3.0) / 6.0
     w1, w2 = 0.25 - r3, 0.25 + r3
-    per_block = max(1, stroboscopic._BLOCK_STEPS // m)
-    for first in range(0, n, per_block):
-        count = min(per_block, n - first)
-        k = np.arange(first * m, (first + count) * m)
-        (p1, q1), (p2, q2) = (
-            _generator(params, (k + c) * h) for c in (0.5 - r3, 0.5 + r3)
-        )
-        early, late = (  # h00 = -eps at both nodes, and w1 + w2 = 1/2
-            _expm_symmetric(-0.5 * params.epsilon, u * p1 + v * p2, u * q1 + v * q2, h)
-            for u, v in ((w2, w1), (w1, w2))
-        )
-        factors = np.stack([early, late], 1).reshape(count, 2 * m, 2, 2)
-        yield _ordered_product(factors).reshape(count, 4)
+    per_block = max(1, _SUBSTEPS_PER_BLOCK // m)
+
+    def fill(buf: np.ndarray, first: int, count: int) -> None:
+        for s in range(0, count, per_block):
+            slots = np.arange(s, min(s + per_block, count))
+            k = np.arange((first - 1 + slots[0]) * m, (first + slots[-1]) * m)
+            (p1, q1), (p2, q2) = (
+                _generator(params, (k + c) * h) for c in (0.5 - r3, 0.5 + r3)
+            )
+            early, late = (  # h00 = -eps at both nodes, and w1 + w2 = 1/2
+                _expm_symmetric(-0.5 * params.epsilon, u * p1 + v * p2, u * q1 + v * q2, h)
+                for u, v in ((w2, w1), (w1, w2))
+            )
+            factors = np.stack([early, late], 1).reshape(slots.size, 2 * m, 2, 2)
+            chunk, i = np.divmod(slots, buf.shape[0])
+            buf[i, :, :, chunk] = _ordered_product(factors)
+
+    return fill
 
 
 def integrate_effective(params: SearchParams, n_max: Optional[int] = None) -> RunRecord:
     """Propagate |s> under the continuous generator and record f and P at
     every protocol step up to n_max (default: the search step count n_G).
 
-    The step propagators come from :func:`_effective_entries` and run through
+    The step propagators come from :func:`_effective_source` and run through
     the same product kernel and record rule as the stroboscopic engines, so
     survival is the squared norm of the propagated state and fidelity comes
     from its direction.  The engine tracks no unitarity distance; that column
     is NaN.
     """
     n = params.step_count(n_max)
-    return stroboscopic._propagate(params, _effective_entries(params, n), n, distance=False)[1]
+    return stroboscopic._propagate(params, _effective_source(params), n, distance=False)[1]
 
 
 def unitary_approx_fidelity(n: int, params: SearchParams) -> float:

@@ -27,6 +27,13 @@ vectorised across the chunks (Blelloch, "Prefix sums and their applications",
 1990); a carry, the product of all earlier chunks, joins them.  Each product
 is a matrix rescaled by a power of two, which is exact, plus an integer
 exponent, so deep damping cannot underflow.
+
+The kernel holds one step buffer per run, of shape (_CHUNK, 2, 2, c) for
+batches of c <= _BLOCK_STEPS / _CHUNK chunks, in chunk layout: slot [i, :, :, c'] holds the
+step i of chunk c'.  An engine's step source writes each batch of steps
+straight into it, and the prefix products then overwrite it in place;
+identity steps pad the last chunk.  So a run holds at most _BLOCK_STEPS step
+entries, whatever its length.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -120,6 +127,10 @@ def _engine_matrices(
             expm_2x2_hermitian(blocks.h_down, params.delta_t),
         )
     if engine == "approx":
+        if params.epsilon != 0.0:
+            raise ValueError(
+                f"the approx engine has no detuning term, got eps={params.epsilon!r}"
+            )
         x, dt = params.x, params.delta_t
         damp = cmath.exp(-2j * dt)
         ixdt = 1j * x * dt
@@ -131,37 +142,44 @@ def _engine_matrices(
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def _cycle_entries(
-    params: SearchParams, P: np.ndarray, Q: np.ndarray, start: int, stop: int
-) -> np.ndarray:
-    """Row-major entries (v00, v01, v10, v11) of V_start, ..., V_{stop-1}, as
-    the transpose of a (4, steps) array."""
-    phi = 2.0 * params.theta0 + (2 * np.arange(start, stop) - 1) * params.delta_theta
-    mean = (0.5 * math.cos(params.delta_theta)) * (P + Q).reshape(4, 1)
-    return (mean + (0.5 * (P - Q)).reshape(4, 1) * np.cos(phi)).T
+#: steps per chunk of the product kernel; chunk c holds steps cL+1, ..., (c+1)L
+_CHUNK = 64
 
-
-#: steps per vectorised block of cycle entries; bounds memory for any n
+#: steps per batch of the product kernel, in whole chunks (at least one): its
+#: step buffer holds that many steps, which bounds memory for any n
 _BLOCK_STEPS = 1 << 14
 
+#: a step source: ``fill(buf, first, count)`` writes V_first, ...,
+#: V_{first+count-1} into the first ``count`` slots of a kernel buffer
+StepSource = Callable[[np.ndarray, int, int], None]
 
-def _step_entries(
-    params: SearchParams, n: int, engine: str, blocks: Optional[BlockHamiltonians]
-) -> Iterator[np.ndarray]:
-    """Entries (v00, v01, v10, v11) of V_1, ..., V_n in order, as (k, 4)
-    arrays of at most _BLOCK_STEPS steps."""
+
+def _step_source(
+    params: SearchParams, engine: str, blocks: Optional[BlockHamiltonians]
+) -> StepSource:
+    """The cycle operators V_j = cos(dtheta) (P+Q)/2 + cos(phi_j) (P-Q)/2 of
+    ``engine``; a buffer of c chunks gets steps first, ..., first + c*_CHUNK - 1
+    in every slot, and the kernel pads over those past ``count``."""
     P, Q = _engine_matrices(params, engine, blocks)
-    return (
-        _cycle_entries(params, P, Q, s, min(s + _BLOCK_STEPS, n + 1))
-        for s in range(1, n + 1, _BLOCK_STEPS)
-    )
+    mean = ((0.5 * math.cos(params.delta_theta)) * (P + Q)).reshape(1, 2, 2, 1)
+    half = (0.5 * (P - Q)).reshape(1, 2, 2, 1)
+
+    def fill(buf: np.ndarray, first: int, count: int) -> None:
+        L, c = buf.shape[0], buf.shape[-1]
+        j = np.arange(first, first + L * c).reshape(c, L).T  # step of slot [i, c']
+        phi = 2.0 * params.theta0 + (2 * j - 1) * params.delta_theta
+        np.multiply(half, np.cos(phi)[:, None, None, :], out=buf)
+        np.add(mean, buf, out=buf)
+
+    return fill
 
 
 def _step_operator(j: int, params: SearchParams, engine: str) -> np.ndarray:
     if j < 1:
         raise ValueError(f"step index must be >= 1, got {j}")
-    P, Q = _engine_matrices(params, engine, None)
-    return _cycle_entries(params, P, Q, j, j + 1).reshape(2, 2)
+    V = np.empty((1, 2, 2, 1), dtype=complex)
+    _step_source(params, engine, None)(V, j, 1)
+    return V.reshape(2, 2)
 
 
 def exact_step_operator(j: int, params: SearchParams) -> np.ndarray:
@@ -193,27 +211,12 @@ def accumulate_process(
     keeps rescaled, so it stays meaningful long after survival underflows.
     """
     n = params.step_count(n)
-    return _propagate(params, _step_entries(params, n, engine, blocks), n)
+    return _propagate(params, _step_source(params, engine, blocks), n)
 
-
-#: steps per chunk of the product kernel; chunk c holds steps cL+1, ..., (c+1)L
-_CHUNK = 64
 
 #: prefixes are rescaled every _RESCALE steps; the square of a product of
 #: fewer steps underflows only if its steps average below 1e-22 in size
 _RESCALE = 8
-
-
-def _batches(entries: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Regroup (k, 4) entry blocks into batches of whole chunks aligned to the
-    step index; identity steps, which multiply exactly, pad the last chunk."""
-    rows = np.empty((0, 4), dtype=complex)
-    for block in entries:
-        cut = len(rows) - len(rows) % _CHUNK
-        if cut:
-            yield rows[:cut]
-        rows = np.concatenate([rows[cut:], block]) if len(rows) > cut else block
-    yield np.concatenate([rows, np.tile(np.eye(2).ravel(), (-len(rows) % _CHUNK, 1))])
 
 
 def _rescale(m: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -224,19 +227,28 @@ def _rescale(m: np.ndarray, e: np.ndarray) -> np.ndarray:
     return e + de
 
 
-def _scan(entries: Iterable[np.ndarray], record: bool) -> Iterator[tuple]:
-    """The product kernel of every 2x2 engine.  For each batch of c chunks,
-    yield V(j) = W 2^g (W of shape (i, 2, 2, c), g of shape (i, c)) after
-    every step (i = _CHUNK) if ``record``, else after each chunk (i = 1).
+def _scan(fill: StepSource, n: int, record: bool) -> Iterator[tuple]:
+    """The product kernel of every 2x2 engine, over the steps 1, ..., n that
+    ``fill`` writes.  For each batch of c chunks, yield V(j) = W 2^g (W of
+    shape (i, 2, 2, c), g of shape (i, c)) after every step (i = _CHUNK) if
+    ``record``, else after each chunk (i = 1).
 
     The prefix products inside the chunks take _CHUNK - 1 rounds vectorised
     across the chunks.  The carry k 2^b, the product of all earlier chunks,
     passes from chunk to chunk and multiplies the prefixes in one broadcast."""
     k0, k1, k2, k3, b = 1.0 + 0j, 0j, 0j, 1.0 + 0j, 0
-    for rows in _batches(entries):
-        # M[i] overwrites the step entries V_i with the prefix that ends there
-        M = rows.reshape(-1, _CHUNK, 2, 2).transpose(1, 2, 3, 0).copy()
-        E = np.zeros((_CHUNK, M.shape[-1]), dtype=np.int64)
+    width = _CHUNK * min(max(1, _BLOCK_STEPS // _CHUNK), -(-n // _CHUNK))
+    buf = np.empty(4 * width, dtype=complex)
+    for first in range(1, n + 1, width):
+        count = min(width, n + 1 - first)
+        c = -(-count // _CHUNK)
+        # M[i] holds the step entries V_i, then the prefix that ends there
+        M = buf[: 4 * _CHUNK * c].reshape(_CHUNK, 2, 2, c)
+        fill(M, first, count)
+        pad = _CHUNK * c - count
+        if pad:  # identity steps, which multiply exactly
+            M[-pad:, :, :, -1] = np.eye(2)
+        E = np.zeros((_CHUNK, c), dtype=np.int64)
         for i in range(1, _CHUNK):
             m = np.add(M[i, :, :1] * M[i - 1, :1], M[i, :, 1:] * M[i - 1, 1:], out=M[i])
             E[i] = _rescale(m, E[i - 1]) if i % _RESCALE == _RESCALE - 1 else E[i - 1]
@@ -266,10 +278,10 @@ def _distance(W: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _propagate(
-    params: SearchParams, entries: Iterable[np.ndarray], n: int, distance: bool = True
+    params: SearchParams, fill: StepSource, n: int, distance: bool = True
 ) -> tuple[np.ndarray, RunRecord]:
-    """Multiply out the steps whose (k, 4) entry blocks ``entries`` yields, and
-    record V(j)|s> at every step: survival is its squared norm and fidelity is
+    """Multiply out the steps 1, ..., n that ``fill`` writes, and record
+    V(j)|s> at every step: survival is its squared norm and fidelity is
     read from its direction (see :meth:`RunRecord.from_series`).  With
     ``distance`` off the record's distance column is NaN."""
     x = params.x
@@ -277,7 +289,7 @@ def _propagate(
     fid[0], sur[0], dist[0] = x * x, 1.0, 0.0
     j = 1
     with np.errstate(invalid="ignore"):
-        for W, g in _scan(entries, record=True):
+        for W, g in _scan(fill, n, record=True):
             psi = W[:, :, 0] * x + W[:, :, 1] * math.sqrt(1.0 - x * x)
             amp = psi.real**2 + psi.imag**2
             norm = amp[:, 0] + amp[:, 1]
@@ -308,6 +320,6 @@ def final_distance(params: SearchParams, n: Optional[int] = None) -> float:
     equals its last ``distance`` entry bit for bit.
     """
     n = params.step_count(n)
-    for W, g in _scan(_step_entries(params, n, "exact", None), record=False):
+    for W, g in _scan(_step_source(params, "exact", None), n, record=False):
         pass  # the last chunk of the last batch ends at step n
     return float(_distance(W[..., -1:], g[..., -1:])[0, 0])

@@ -5,12 +5,17 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zenogrover
+from zenogrover import cli
 from zenogrover.cli import RunConfig, build_parser, main, run_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -110,10 +115,13 @@ class TestBadInput:
             # conflicting ways to set one parameter: neither may be dropped
             ["run", "--n", "1e6", "--dt", "1.0", "--k", "1", "--tau", "0.2"],
             ["run", "--n", "1e6", "--dt", "1.0", "--alpha", "0.3", "--dtheta", "0.01"],
+            # the approx engine has no detuning term, so eps cannot be applied
+            ["run", "--engine", "approx", "--n", "1e6", "--k", "1", "--tau", "0.2",
+             "--alpha", "0.3", "--eps", "0.5"],
         ],
         ids=["alpha-nan", "eps-inf", "n-inf", "unwritable-out", "verify-n-inf",
              "plan-nr-inf", "sweep-dt-steps-0", "jobs-0", "verify-n-non-integer",
-             "record-too-large", "dt-with-k-tau", "dtheta-with-alpha"],
+             "record-too-large", "dt-with-k-tau", "dtheta-with-alpha", "approx-eps"],
     )
     def test_exits_2_with_message(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setenv("ZENOGROVER_OUTDIR", str(tmp_path))
@@ -435,15 +443,17 @@ class TestEffCompare:
 
 class TestStartup:
     @staticmethod
-    def _import_cli_without(module):
-        # the child must import the same package as this test process
+    def _import_cli_without(module, argv=None):
+        # the child must import the same package as this test process; with
+        # argv it also runs that command, whose exit code must be 0
         env = dict(os.environ)
         src = str(Path(zenogrover.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = "" if argv is None else f"assert zenogrover.cli.main({argv!r}) == 0; "
         subprocess.run(
             [sys.executable, "-c",
-             f"import zenogrover.cli, sys; assert {module!r} not in sys.modules"],
-            env=env, check=True, timeout=60,
+             f"import zenogrover.cli, sys; {run}assert {module!r} not in sys.modules"],
+            env=env, check=True, timeout=60, stdout=subprocess.DEVNULL,
         )
 
     def test_cli_import_does_not_load_scipy(self):
@@ -452,6 +462,65 @@ class TestStartup:
     def test_cli_import_does_not_load_the_process_pool(self):
         # only a fan-out (--jobs > 1) needs multiprocessing
         self._import_cli_without("concurrent.futures.process")
+
+    def test_verify_does_not_load_numpy_random(self):
+        # the verify targets come from the standard library's generator
+        self._import_cli_without("numpy.random", ["verify", "--n", "4", "--steps", "5"])
+
+
+def _fmt_reference(v) -> str:
+    """The table writer's former rule, applied to one cell at a time."""
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v)).lower()
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    f = float(v)
+    if math.isnan(f):
+        return "nan"
+    if math.isinf(f):
+        return "inf" if f > 0 else "-inf"
+    return format(f, ".17g")
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                   math.nan, math.inf, -math.inf, 1e17, -1e300, 0.1, 1 / 3]
+
+
+@st.composite
+def _table_columns(draw):
+    """Columns of one length, each a list or an array of ints, floats or bools."""
+    rows = draw(st.integers(min_value=0, max_value=12))
+    floats = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+    columns = {}
+    for i in range(draw(st.integers(min_value=1, max_value=5))):
+        kind = draw(st.sampled_from(["int", "bigint", "float", "npfloat", "bool"]))
+        values = draw(st.lists(
+            {"int": st.integers(-2**63, 2**63 - 1), "bigint": st.integers(),
+             "float": floats, "npfloat": floats.map(np.float64),
+             "bool": st.booleans()}[kind],
+            min_size=rows, max_size=rows,
+        ))
+        if kind != "bigint" and draw(st.booleans()):
+            values = np.array(values, dtype={"int": np.int64, "bool": bool}.get(kind, float))
+        columns[f"c{i}"] = values
+    return columns
+
+
+class TestTableWriter:
+    @given(columns=_table_columns(), per_write=st.sampled_from([1, 3, 1 << 16]))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_the_per_cell_rule(self, columns, per_write):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "_ROWS_PER_WRITE", per_write):
+            path = Path(tmp) / "t.csv"
+            cli._write_table(RunConfig(mode="run", out=str(path)), columns, {})
+            lines = path.read_text().split("\n")
+        names = list(columns)
+        start = lines.index(",".join(names)) + 1
+        rows = len(columns[names[0]])
+        expected = [",".join(_fmt_reference(columns[n][i]) for n in names)
+                    for i in range(rows)]
+        assert lines[start:] == expected + [""]
 
 
 class TestRoundTrip:

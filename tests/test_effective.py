@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from zenogrover.effective import (
     integrate_effective,
     unitary_approx_fidelity,
 )
-from zenogrover import stroboscopic
+from zenogrover import effective, stroboscopic
 from zenogrover.model import make_params, overlap_x
 from zenogrover.stroboscopic import (
     exact_step_operator,
@@ -234,13 +235,27 @@ class TestFineStepReference:
         assert np.max(np.abs(record.survival - P_ref)) <= 1e-10
 
     def test_record_does_not_depend_on_block_size(self, monkeypatch):
-        # 11 substeps per protocol step: blocks of 40 substeps hold 3 steps
+        # 11 substeps per protocol step: blocks of 40 substeps hold 3 steps,
+        # and kernel batches of one chunk make every batch start mid-run
         p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
         whole = integrate_effective(p)
+        monkeypatch.setattr(effective, "_SUBSTEPS_PER_BLOCK", 40)
         monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", 40)
         blocked = integrate_effective(p)
         for column in ("times", "fidelity", "survival"):
             assert np.array_equal(getattr(whole, column), getattr(blocked, column))
+
+
+    def test_working_set_is_bounded(self):
+        # 4700 steps of 11 substeps, built in blocks of at most 4096 substeps
+        p = make_params(1e8, k=1, tau=0.2, alpha=0.3)
+        tracemalloc.start()
+        try:
+            integrate_effective(p, 4700)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
 
 class TestUnitaryApprox:

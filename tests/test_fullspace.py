@@ -8,10 +8,9 @@ from zenogrover.fullspace import (
     _apply,
     _block,
     _block_propagator_factors,
+    _check_target,
     _eigh_refined,
     _propagate,
-    build_full_hamiltonian,
-    complement_weight,
     default_equivalence_cases,
     equivalence_suite,
     make_case_params,
@@ -19,6 +18,36 @@ from zenogrover.fullspace import (
 )
 from zenogrover.model import SURVIVAL_FLOOR, grover_fidelity_closed_form, make_params
 from zenogrover.stroboscopic import BlockHamiltonians, accumulate_process
+
+
+def build_full_hamiltonian(N: int, w: int, epsilon: float = 0.0) -> np.ndarray:
+    """Joint Hamiltonian -(1+eps) I (x) |w><w| - sigma_z (x) |s><s| as a dense
+    2N x 2N real symmetric matrix (ancilla-major ordering, up block first)."""
+    _check_target(N, w)
+    H = np.zeros((2 * N, 2 * N))
+    H[:N, :N] = _block(N, w, -(1.0 + epsilon), -1.0)
+    H[N:, N:] = _block(N, w, -(1.0 + epsilon), +1.0)
+    return H
+
+
+def complement_weight(state, w: int) -> float:
+    """Probability weight outside span{|q> (x) |w>, |q> (x) |r>}.
+
+    Projects both ancilla components of a normalized joint state onto the
+    orthogonal complement of {|w>, |s>} in the database factor and returns the
+    total squared norm left over.
+    """
+    N = state.N
+    s = np.full(N, 1.0 / math.sqrt(N))
+    wv = np.zeros(N)
+    wv[w] = 1.0
+    rv = s - s[w] * wv
+    rv /= np.linalg.norm(rv)
+    total = 0.0
+    for part in (state.amplitudes[:N], state.amplitudes[N:]):
+        residual = part - (wv @ part) * wv - (rv @ part) * rv
+        total += float(np.vdot(residual, residual).real)
+    return total
 
 
 class TestBuildHamiltonian:
@@ -312,6 +341,19 @@ class TestDefaultCases:
         assert len(cases) == 18  # 2 targets x 3 dt x 3 dtheta
         assert {c.w for c in cases} == {0, 1}
         assert all(c.N == 2 and c.steps == 5 for c in cases)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 16, 128, 4096])
+    def test_targets_are_distinct_in_range_and_deterministic(self, N):
+        def targets(sizes):
+            cases = default_equivalence_cases(sizes=sizes, steps=5)
+            return [c.w for c in cases if c.N == N][::9]
+
+        ws = targets((N,))
+        assert len(set(ws)) == len(ws) == min(3, N)
+        assert all(isinstance(w, int) and 0 <= w < N for w in ws)
+        assert targets((N,)) == ws
+        # a size draws the same targets whatever the other sizes
+        assert targets((7, 9, N)) == ws
 
     def test_standard_matrix(self):
         cases = default_equivalence_cases()

@@ -114,11 +114,20 @@ def _sequential_propagate(params, entries, n):
     return V, record
 
 
+def _entries(fill, n):
+    """Entries (v00, v01, v10, v11) of V_1, ..., V_n as an (n, 4) array, read
+    in step order from one kernel buffer that the step source ``fill`` wrote."""
+    L = stroboscopic._CHUNK
+    buf = np.empty((L, 2, 2, -(-n // L)), dtype=complex)
+    fill(buf, 1, n)
+    return buf.transpose(3, 0, 1, 2).reshape(-1, 4)[:n]
+
+
 def _steps_case(N, n=None, engine="exact", **kwargs):
     def build():
         p = make_params(N, **kwargs)
         steps = p.n_G if n is None else n
-        return p, steps, lambda: stroboscopic._step_entries(p, steps, engine, None)
+        return p, steps, lambda: stroboscopic._step_source(p, engine, None)
 
     return build
 
@@ -127,19 +136,20 @@ def _zero_step_case():
     # step 70 (in the second chunk) annihilates the state exactly
     p = make_params(1e4, 1.0, alpha=0.3)
     n = 200
+    exact = stroboscopic._step_source(p, "exact", None)
 
-    def entries():
-        rows = np.concatenate(list(stroboscopic._step_entries(p, n, "exact", None)))
-        rows[69] = 0.0
-        return iter([rows])
+    def fill(buf, first, count):
+        exact(buf, first, count)
+        chunk, i = divmod(70 - first, buf.shape[0])
+        if 0 <= chunk < buf.shape[-1]:
+            buf[i, :, :, chunk] = 0.0
 
-    return p, n, entries
+    return p, n, lambda: fill
 
 
 def _effective_case():
     p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
-    n = p.n_G
-    return p, n, lambda: effective._effective_entries(p, n)
+    return p, p.n_G, lambda: effective._effective_source(p)
 
 
 _KERNEL_CASES = {
@@ -163,13 +173,14 @@ _KERNEL_CASES = {
 class TestKernelMatchesSequentialLoop:
     @pytest.mark.parametrize("case", list(_KERNEL_CASES))
     def test_record_matches_reference(self, case, monkeypatch):
-        if case == "sweep_dt_pi":
-            # blocks of 40 steps: every chunk of the kernel spans entry blocks
-            monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", 40)
-        p, n, entries = _KERNEL_CASES[case]()
-        V, got = stroboscopic._propagate(p, entries(), n)
-        flat = itertools.chain.from_iterable(b.tolist() for b in entries())
-        V_ref, ref = _sequential_propagate(p, flat, n)
+        if case in ("sweep_dt_pi", "exact_zero_step"):
+            # batches of 3 chunks: the carry crosses many batches and the last
+            # batch is shorter; batches of 1 chunk put step 70 in the second
+            steps = 3 * stroboscopic._CHUNK if case == "sweep_dt_pi" else 40
+            monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", steps)
+        p, n, source = _KERNEL_CASES[case]()
+        V, got = stroboscopic._propagate(p, source(), n)
+        V_ref, ref = _sequential_propagate(p, _entries(source(), n).tolist(), n)
         assert np.max(np.abs(got.fidelity - ref.fidelity)) <= 1e-12
         live = ref.survival > 0
         assert np.array_equal(got.survival > 0, live)
@@ -184,6 +195,30 @@ class TestKernelMatchesSequentialLoop:
         if case == "exact_zero_step":
             assert np.all(got.fidelity[70:] == got.fidelity[69])
             assert np.all(got.distance[70:] == 1.0)
+
+
+class TestStepSource:
+    @pytest.mark.parametrize("engine", ["exact", "approx"])
+    def test_writes_chunk_layout(self, engine):
+        # slot [i, :, :, c] of a buffer of 3 chunks holds V_{first + 64 c + i}
+        p = make_params(1e6, math.pi + 0.2, delta_theta=0.013, theta0=0.3)
+        step = exact_step_operator if engine == "exact" else approx_step_operator
+        buf = np.empty((stroboscopic._CHUNK, 2, 2, 3), dtype=complex)
+        stroboscopic._step_source(p, engine, None)(buf, 101, buf.size // 4)
+        for c, i in itertools.product(range(3), (0, 1, 37, 63)):
+            j = 101 + stroboscopic._CHUNK * c + i
+            assert np.array_equal(buf[i, :, :, c], step(j, p))
+
+    def test_effective_writes_chunk_layout(self):
+        # blocks of 3 steps straddle the chunks; every slot equals a lone step
+        p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
+        buf = np.empty((stroboscopic._CHUNK, 2, 2, 2), dtype=complex)
+        effective._effective_source(p)(buf, 65, 100)
+        lone = np.empty((1, 2, 2, 1), dtype=complex)
+        for slot in (0, 1, 2, 63, 64, 65, 99):
+            c, i = divmod(slot, stroboscopic._CHUNK)
+            effective._effective_source(p)(lone, 65 + slot, 1)
+            assert np.array_equal(buf[i, :, :, c], lone[0, :, :, 0])
 
 
 class TestBlockMatrices:
@@ -477,6 +512,25 @@ class TestAccumulate:
         assert np.all(np.diff(record.survival) <= 1e-12)
 
 
+def _traced_peak_mb(fn) -> float:
+    """Peak traced allocation of one call of ``fn``, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    def test_final_distance_holds_one_step_buffer(self):
+        # the centre of the d_pi sweep: 49 999 steps in 4 batches of the
+        # kernel's 1 MB step buffer
+        p = make_params(1e10, 3.1416, alpha=0.3)
+        assert p.n_G == 49999
+        assert _traced_peak_mb(lambda: final_distance(p)) <= 2.5
+
+
 class TestFinalDistancePrecision:
     @pytest.mark.parametrize(
         "delta_t, steps", [(9.4248, 16666), (25.1327, 6250)], ids=["3pi", "8pi"]
@@ -490,15 +544,14 @@ class TestFinalDistancePrecision:
         assert p.n_G == steps
         with mpmath.workdps(30):
             a, b, c, d = mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(1)
-            for block in stroboscopic._step_entries(p, steps, "exact", None):
-                for v in block.tolist():
-                    v00, v01, v10, v11 = map(mpmath.mpc, v)
-                    a, b, c, d = (
-                        v00 * a + v01 * c,
-                        v00 * b + v01 * d,
-                        v10 * a + v11 * c,
-                        v10 * b + v11 * d,
-                    )
+            for v in _entries(stroboscopic._step_source(p, "exact", None), steps).tolist():
+                v00, v01, v10, v11 = map(mpmath.mpc, v)
+                a, b, c, d = (
+                    v00 * a + v01 * c,
+                    v00 * b + v01 * d,
+                    v10 * a + v11 * c,
+                    v10 * b + v11 * d,
+                )
             ref = 1 - (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2) / 2
         assert abs(final_distance(p, steps) - float(ref)) <= 1e-12
 
