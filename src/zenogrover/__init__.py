@@ -4,50 +4,80 @@ A 2x2 exact engine for the post-selected search protocol, a full-space
 brute-force verifier, the non-Hermitian effective description, a scaling
 planner, and detuning-robustness analytics, plus a CLI that emits
 reproducible CSV tables.
+
+The package imports lazily (PEP 562): ``import zenogrover`` loads no
+submodule, and each exported name or submodule is imported on first use, so
+a CLI command pays only for the engines it runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .model import (
-    DampedTwoLevelModel,
-    RunRecord,
-    SearchParams,
-    grover_fidelity_closed_form,
-    grover_step_count,
-    make_params,
-    overlap_x,
-)
-from .stroboscopic import (
-    BlockHamiltonians,
-    accumulate_process,
-    approx_step_operator,
-    distance_from_unitarity,
-    exact_step_operator,
-    expm_2x2_hermitian,
-    final_distance,
-    run_protocol,
-    subspace_basis_matrices,
-)
-from .fullspace import (
-    FullState,
-    equivalence_suite,
-    simulate_full_protocol,
-)
-from .effective import (
-    EffectiveHamiltonian,
-    continuous_heff,
-    damped_eigenanalysis,
-    extract_step_hamiltonian,
-    integrate_effective,
-    unitary_approx_fidelity,
-)
-from .scaling import (
-    QualityReport,
-    ScalePlan,
-    bad_epsilon_values,
-    detuned_fidelity_analytic,
-    plan_scaled_instance,
-    quality_factor_sweep,
-    scaled_process_check,
-    scaling_k2,
-)
+#: submodule -> the names the package exports from it
+_EXPORTS_BY_MODULE = {
+    "model": (
+        "DampedTwoLevelModel",
+        "RunRecord",
+        "SearchParams",
+        "grover_fidelity_closed_form",
+        "grover_step_count",
+        "make_params",
+        "overlap_x",
+    ),
+    "stroboscopic": (
+        "BlockHamiltonians",
+        "accumulate_process",
+        "approx_step_operator",
+        "distance_from_unitarity",
+        "exact_step_operator",
+        "expm_2x2_hermitian",
+        "final_distance",
+        "run_protocol",
+        "subspace_basis_matrices",
+    ),
+    "fullspace": (
+        "FullState",
+        "equivalence_suite",
+        "simulate_full_protocol",
+    ),
+    "effective": (
+        "EffectiveHamiltonian",
+        "continuous_heff",
+        "damped_eigenanalysis",
+        "extract_step_hamiltonian",
+        "integrate_effective",
+        "unitary_approx_fidelity",
+    ),
+    "scaling": (
+        "QualityReport",
+        "ScalePlan",
+        "bad_epsilon_values",
+        "detuned_fidelity_analytic",
+        "plan_scaled_instance",
+        "quality_factor_sweep",
+        "scaled_process_check",
+        "scaling_k2",
+    ),
+}
+
+#: exported name -> the submodule that defines it
+_EXPORTS = {name: module for module, names in _EXPORTS_BY_MODULE.items() for name in names}
+
+#: every submodule, imported by ``getattr(zenogrover, name)``
+_SUBMODULES = ("cli", *_EXPORTS_BY_MODULE)
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _SUBMODULES:
+        # importing a submodule also binds it on the package
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

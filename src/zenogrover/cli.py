@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -24,24 +25,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .effective import integrate_effective, unitary_approx_fidelity
-from .fullspace import (
-    EQUIVALENCE_TOLERANCE,
-    MAX_FULLSPACE_N,
-    default_equivalence_cases,
-    equivalence_suite,
-)
 from .model import SearchParams, grover_fidelity_closed_form, make_params
-from .scaling import (
-    parallel_map,
-    plan_scaled_instance,
-    quality_factor_sweep,
-    scaled_process_check,
-)
 from .stroboscopic import BlockHamiltonians, final_distance, run_protocol
 
+# every command runs the modules above; the effective engine, the full-space
+# oracle and the scaling planner are imported inside the commands that call
+# them, so a process compiles only the engines its command runs
+
 __all__ = ["RunConfig", "cmd_run", "cmd_sweep_dt", "cmd_sweep_eps",
-           "cmd_plan_scale", "cmd_verify", "cmd_eff_compare", "main"]
+           "cmd_plan_scale", "cmd_verify", "cmd_eff_compare", "main", "process_main"]
 
 OUTDIR_ENV = "ZENOGROVER_OUTDIR"
 
@@ -186,6 +178,8 @@ def cmd_run(config: RunConfig) -> int:
     if config.engine in ("exact", "approx"):
         record = run_protocol(params, config.steps, engine=config.engine)
     elif config.engine == "effective":
+        from .effective import integrate_effective
+
         record = integrate_effective(params, config.steps)
     else:
         raise ConfigError(f"unknown engine {config.engine!r}")
@@ -218,6 +212,8 @@ def _dt_point(config: RunConfig) -> tuple[float, int, float]:
 
 def cmd_sweep_dt(config: RunConfig) -> int:
     """Distance from unitarity of the accumulated process across a dt grid."""
+    from .scaling import parallel_map
+
     if config.grid is None:
         raise ConfigError("sweep-dt needs --grid lo:hi:count")
     work = [replace(config, delta_t=float(dt)) for dt in np.linspace(*config.grid)]
@@ -235,6 +231,8 @@ def cmd_sweep_dt(config: RunConfig) -> int:
 
 def cmd_sweep_eps(config: RunConfig) -> int:
     """Quality-factor sweep over a detuning grid given in units of x."""
+    from .scaling import quality_factor_sweep
+
     if config.grid is None:
         raise ConfigError("sweep-eps needs --grid lo:hi:count (in units of x)")
     params = config.build_params()
@@ -270,6 +268,8 @@ def cmd_sweep_eps(config: RunConfig) -> int:
 
 def cmd_plan_scale(config: RunConfig) -> int:
     """Plan a scaled instance; with --check, also run both processes."""
+    from .scaling import plan_scaled_instance, scaled_process_check
+
     if config.N is None or config.k is None or config.tau is None:
         raise ConfigError("plan-scale needs --n (reference N1), --k and --tau")
     if config.N_requested is None:
@@ -336,6 +336,13 @@ def _fault_transform(name: str):
 
 def cmd_verify(config: RunConfig) -> int:
     """Subspace-vs-fullspace equivalence suite plus unitary-limit regression."""
+    from .fullspace import (
+        EQUIVALENCE_TOLERANCE,
+        MAX_FULLSPACE_N,
+        default_equivalence_cases,
+        equivalence_suite,
+    )
+
     steps = config.steps if config.steps is not None else 200
     if config.N is None:
         cases = default_equivalence_cases(steps=steps)
@@ -410,6 +417,8 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_eff_compare(config: RunConfig) -> int:
     """Aligned fidelity series from the exact, continuous-effective, and
     closed-form engines, with pairwise max deviations."""
+    from .effective import integrate_effective, unitary_approx_fidelity
+
     params = config.build_params()
     exact = run_protocol(params, config.steps)
     eff = integrate_effective(params, config.steps)
@@ -522,5 +531,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return run_config(config)
 
 
-if __name__ == "__main__":
+def process_main() -> None:
+    """Entry point of a CLI process, ``python -m zenogrover.cli`` and the
+    ``zenogrover`` script alike: run :func:`main` and exit with its code.
+
+    The objects the imports made live until the process exits, so they are
+    moved out of the collector's reach first (``gc.freeze``): no collection,
+    during the command or at exit, walks them again, and a ``--jobs`` fan-out
+    forks with their pages still shared.  Reference counting, stdout flushing
+    and ``atexit`` are unaffected; in-process callers of :func:`main` leave
+    the collector as it is."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    process_main()

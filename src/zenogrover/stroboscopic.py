@@ -31,9 +31,9 @@ exponent, so deep damping cannot underflow.
 The kernel holds one step buffer per run, of shape (_CHUNK, 2, 2, c) for
 batches of c <= _BLOCK_STEPS / _CHUNK chunks, in chunk layout: slot [i, :, :, c'] holds the
 step i of chunk c'.  An engine's step source writes each batch of steps
-straight into it, and the prefix products then overwrite it in place;
-identity steps pad the last chunk.  So a run holds at most _BLOCK_STEPS step
-entries, whatever its length.
+straight into it, and the prefix products, then their products with the
+carry, overwrite it in place; identity steps pad the last chunk.  So a run
+holds at most _BLOCK_STEPS step entries, whatever its length.
 """
 
 from __future__ import annotations
@@ -227,18 +227,36 @@ def _rescale(m: np.ndarray, e: np.ndarray) -> np.ndarray:
     return e + de
 
 
+def _times_carry(M: np.ndarray, K: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> None:
+    """M[i] <- M[i] K for every i of M (i, 2, 2, c), in place, with the
+    products and sums of ``M[:, :, :1] * K[:1] + M[:, :, 1:] * K[1:]``;
+    t0 and t1 are scratch of the shape of M[:, 0, 0]."""
+    for r in (0, 1):
+        a, b = M[:, r, 0], M[:, r, 1]
+        np.multiply(a, K[0, 1], out=t0)
+        np.multiply(b, K[1, 1], out=t1)
+        np.add(t0, t1, out=t1)  # the new entry (r, 1)
+        np.multiply(a, K[0, 0], out=t0)
+        np.multiply(b, K[1, 0], out=b)
+        np.add(t0, b, out=a)  # the new entry (r, 0)
+        b[...] = t1
+
+
 def _scan(fill: StepSource, n: int, record: bool) -> Iterator[tuple]:
     """The product kernel of every 2x2 engine, over the steps 1, ..., n that
     ``fill`` writes.  For each batch of c chunks, yield V(j) = W 2^g (W of
     shape (i, 2, 2, c), g of shape (i, c)) after every step (i = _CHUNK) if
-    ``record``, else after each chunk (i = 1).
+    ``record``, else after each chunk (i = 1).  W is a view of the step
+    buffer, valid until the next batch is drawn.
 
     The prefix products inside the chunks take _CHUNK - 1 rounds vectorised
     across the chunks.  The carry k 2^b, the product of all earlier chunks,
-    passes from chunk to chunk and multiplies the prefixes in one broadcast."""
+    passes from chunk to chunk and multiplies the prefixes in place."""
     k0, k1, k2, k3, b = 1.0 + 0j, 0j, 0j, 1.0 + 0j, 0
     width = _CHUNK * min(max(1, _BLOCK_STEPS // _CHUNK), -(-n // _CHUNK))
     buf = np.empty(4 * width, dtype=complex)
+    rows = _CHUNK if record else 1
+    scratch = np.empty((2, rows * (width // _CHUNK)), dtype=complex)
     for first in range(1, n + 1, width):
         count = min(width, n + 1 - first)
         c = -(-count // _CHUNK)
@@ -267,13 +285,18 @@ def _scan(fill: StepSource, n: int, record: bool) -> Iterator[tuple]:
             k0, k1, k2, k3 = k0 * f, k1 * f, k2 * f, k3 * f
         K = np.array(K).T.reshape(2, 2, -1)
         M, E = (M, E) if record else (M[-1:], E[-1:])
-        yield M[:, :, :1] * K[:1] + M[:, :, 1:] * K[1:], E + np.array(B)
+        _times_carry(M, K, *scratch[:, : rows * c].reshape(2, rows, c))
+        yield M, E + np.array(B)
+
+
+def _sq(z: np.ndarray) -> np.ndarray:
+    """|z|^2 entrywise, as re^2 + im^2."""
+    return z.real**2 + z.imag**2
 
 
 def _distance(W: np.ndarray, g: np.ndarray) -> np.ndarray:
     """1 - ||V||_F^2 / 2 for V = W 2^g as yielded by :func:`_scan`."""
-    sq = W.real**2 + W.imag**2
-    frob = (sq[:, 0, 0] + sq[:, 0, 1]) + (sq[:, 1, 0] + sq[:, 1, 1])
+    frob = (_sq(W[:, 0, 0]) + _sq(W[:, 0, 1])) + (_sq(W[:, 1, 0]) + _sq(W[:, 1, 1]))
     return 1.0 - 0.5 * np.ldexp(frob, 2 * g)
 
 
@@ -285,18 +308,20 @@ def _propagate(
     read from its direction (see :meth:`RunRecord.from_series`).  With
     ``distance`` off the record's distance column is NaN."""
     x = params.x
+    r = math.sqrt(1.0 - x * x)  # |s> = x|w> + r|r>
     fid, sur, dist = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     fid[0], sur[0], dist[0] = x * x, 1.0, 0.0
     j = 1
     with np.errstate(invalid="ignore"):
         for W, g in _scan(fill, n, record=True):
-            psi = W[:, :, 0] * x + W[:, :, 1] * math.sqrt(1.0 - x * x)
-            amp = psi.real**2 + psi.imag**2
-            norm = amp[:, 0] + amp[:, 1]
-            k = min(norm.size, n + 1 - j)
-            dist[j : j + k] = _distance(W, g).T.ravel()[:k]
+            k = min(g.size, n + 1 - j)
+            if distance:
+                dist[j : j + k] = _distance(W, g).T.ravel()[:k]
+            # the squared moduli of the two entries of V(j)|s>
+            amp0 = _sq(W[:, 0, 0] * x + W[:, 0, 1] * r)
+            norm = amp0 + _sq(W[:, 1, 0] * x + W[:, 1, 1] * r)
             sur[j : j + k] = np.ldexp(norm, 2 * g).T.ravel()[:k]
-            fid[j : j + k] = (amp[:, 0] / norm).T.ravel()[:k]  # nan: annihilated
+            fid[j : j + k] = (amp0 / norm).T.ravel()[:k]  # nan: annihilated
             j += k
     c, i = divmod(k - 1, _CHUNK)  # step n is step i of chunk c of the last batch
     V = W[i, :, :, c] * np.ldexp(1.0, g[i, c])

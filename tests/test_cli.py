@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import json
 import math
@@ -441,31 +442,107 @@ class TestEffCompare:
         assert meta["summary"]["max_dev_eff_exact"] <= 0.1
 
 
+#: runs ``sys.argv[2:]`` in this process, through the ``__main__`` path of
+#: ``zenogrover.cli`` (what ``python -m zenogrover.cli`` runs) if
+#: ``sys.argv[1]`` is "entry", else through ``main()``; the last stdout line
+#: reports the exit code, the collector's frozen count and the modules loaded
+CHILD = """
+import gc, json, runpy, sys
+how, argv = sys.argv[1], sys.argv[2:]
+if how == "entry":
+    sys.argv = ["zenogrover", *argv]
+    try:
+        runpy.run_module("zenogrover.cli", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import zenogrover.cli
+    code = zenogrover.cli.main(argv)
+print(json.dumps({"code": code, "frozen": gc.get_freeze_count(), "loaded": sorted(sys.modules)}))
+"""
+
+ENGINES = {"zenogrover.effective", "zenogrover.fullspace", "zenogrover.scaling"}
+
+
 class TestStartup:
     @staticmethod
-    def _import_cli_without(module, argv=None):
-        # the child must import the same package as this test process; with
-        # argv it also runs that command, whose exit code must be 0
+    def _child(how, *argv):
+        """Run CHILD in a fresh process; the command must exit 0."""
+        # the child must import the same package as this test process
         env = dict(os.environ)
         src = str(Path(zenogrover.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        run = "" if argv is None else f"assert zenogrover.cli.main({argv!r}) == 0; "
-        subprocess.run(
-            [sys.executable, "-c",
-             f"import zenogrover.cli, sys; {run}assert {module!r} not in sys.modules"],
-            env=env, check=True, timeout=60, stdout=subprocess.DEVNULL,
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, how, *argv],
+            env=env, check=True, timeout=60, capture_output=True, text=True,
         )
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["code"] == 0, proc.stderr
+        return report
 
     def test_cli_import_does_not_load_scipy(self):
-        self._import_cli_without("scipy")
+        assert "scipy" not in self._child("entry", "--version")["loaded"]
 
     def test_cli_import_does_not_load_the_process_pool(self):
         # only a fan-out (--jobs > 1) needs multiprocessing
-        self._import_cli_without("concurrent.futures.process")
+        loaded = self._child("entry", "--version")["loaded"]
+        assert "concurrent.futures.process" not in loaded
 
     def test_verify_does_not_load_numpy_random(self):
         # the verify targets come from the standard library's generator
-        self._import_cli_without("numpy.random", ["verify", "--n", "4", "--steps", "5"])
+        report = self._child("main", "verify", "--n", "4", "--steps", "5")
+        assert "numpy.random" not in report["loaded"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"],
+        ["run", "--n", "1e4", "--k", "1", "--tau", "0.2", "--alpha", "0.3", "--out", "{out}"],
+    ])
+    def test_exact_commands_load_no_other_engine(self, argv, tmp_path):
+        out = str(tmp_path / "run.csv")
+        report = self._child("entry", *[a.format(out=out) for a in argv])
+        assert not ENGINES & set(report["loaded"])
+        assert {"zenogrover.model", "zenogrover.stroboscopic"} <= set(report["loaded"])
+
+    def test_eff_compare_loads_effective_only(self, tmp_path):
+        report = self._child(
+            "entry", "eff-compare", "--n", "1e4", "--k", "1", "--tau", "0.2",
+            "--alpha", "0.3", "--steps", "20", "--out", str(tmp_path / "cmp.csv"),
+        )
+        assert "zenogrover.effective" in report["loaded"]
+        assert "zenogrover.fullspace" not in report["loaded"]
+
+    def test_verify_does_not_load_effective(self):
+        report = self._child("entry", "verify", "--n", "4", "--steps", "5")
+        assert "zenogrover.fullspace" in report["loaded"]
+        assert "zenogrover.effective" not in report["loaded"]
+
+    def test_only_the_process_entry_freezes_the_heap(self):
+        assert self._child("entry", "--version")["frozen"] > 0
+        # in-process callers of main() keep the collector as it is
+        assert self._child("main", "verify", "--n", "2", "--steps", "3")["frozen"] == 0
+
+    def test_process_writes_the_bytes_of_main(self, tmp_path):
+        argv = ["run", "--n", "1e5", "--k", "1", "--tau", "0.2", "--alpha", "0.3"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self._child("entry", *argv, "--out", str(a))
+        assert main([*argv, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert (a.with_name("a.csv.meta.json").read_bytes()
+                == b.with_name("b.csv.meta.json").read_bytes())
+
+    def test_console_script_is_the_process_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+        module, _, function = scripts["zenogrover"].partition(":")
+        assert module == "zenogrover.cli"
+        main_block = [
+            node for node in ast.parse(Path(cli.__file__).read_text()).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert len(main_block) == 1
+        assert [ast.unparse(n) for n in main_block[0].body] == [f"{function}()"]
+        assert callable(getattr(cli, function))
 
 
 def _fmt_reference(v) -> str:

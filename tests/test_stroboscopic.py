@@ -197,6 +197,16 @@ class TestKernelMatchesSequentialLoop:
             assert np.all(got.distance[70:] == 1.0)
 
 
+    def test_carry_in_place_is_the_broadcast_product(self):
+        # the same products and sums as the broadcast, so the same bits
+        rng = np.random.default_rng(5)
+        M = rng.normal(size=(64, 2, 2, 3)) + 1j * rng.normal(size=(64, 2, 2, 3))
+        K = rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3))
+        ref = M[:, :, :1] * K[:1] + M[:, :, 1:] * K[1:]
+        stroboscopic._times_carry(M, K, *np.empty((2, 64, 3), dtype=complex))
+        assert np.array_equal(M, ref)
+
+
 class TestStepSource:
     @pytest.mark.parametrize("engine", ["exact", "approx"])
     def test_writes_chunk_layout(self, engine):
@@ -529,6 +539,13 @@ class TestWorkingSet:
         p = make_params(1e10, 3.1416, alpha=0.3)
         assert p.n_G == 49999
         assert _traced_peak_mb(lambda: final_distance(p)) <= 2.5
+
+    def test_record_path_multiplies_the_carry_in_place(self):
+        # 20 000 steps in two batches: the 1 MB step buffer, 0.5 MB of scratch
+        # and the 0.8 MB record; a product with the carry formed outside the
+        # buffer would add three 1 MB arrays, 4.9 MB in all
+        p = make_params(1e10, 3.1416, alpha=0.3)
+        assert _traced_peak_mb(lambda: accumulate_process(p, 20000)) <= 3.35
 
 
 class TestFinalDistancePrecision:
