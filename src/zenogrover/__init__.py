@@ -24,6 +24,7 @@ _EXPORTS_BY_MODULE = {
         "grover_step_count",
         "make_params",
         "overlap_x",
+        "parallel_map",
     ),
     "stroboscopic": (
         "BlockHamiltonians",

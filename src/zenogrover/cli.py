@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .model import SearchParams, grover_fidelity_closed_form, make_params
+from .model import SearchParams, grover_fidelity_closed_form, make_params, parallel_map
 from .stroboscopic import BlockHamiltonians, final_distance, run_protocol
 
 # every command runs the modules above; the effective engine, the full-space
@@ -212,8 +212,6 @@ def _dt_point(config: RunConfig) -> tuple[float, int, float]:
 
 def cmd_sweep_dt(config: RunConfig) -> int:
     """Distance from unitarity of the accumulated process across a dt grid."""
-    from .scaling import parallel_map
-
     if config.grid is None:
         raise ConfigError("sweep-dt needs --grid lo:hi:count")
     work = [replace(config, delta_t=float(dt)) for dt in np.linspace(*config.grid)]
@@ -509,11 +507,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the modes that write a table only when --out is given
+_OUT_OPTIONAL = ("plan-scale", "verify")
+
+
 def run_config(config: RunConfig) -> int:
-    """Dispatch a resolved config; returns the process exit code."""
+    """Dispatch a resolved config; returns the process exit code.  The
+    output directory is made before the command runs, so an output path
+    whose directory cannot be made exits 2 before any work is done."""
     try:
         if config.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {config.jobs}")
+        if config.out is not None or config.mode not in _OUT_OPTIONAL:
+            _resolve_out(config).parent.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[config.mode][0](config)
     except (ConfigError, ValueError, OSError, MemoryError) as exc:
         # MemoryError: a step count too large to record, e.g. N = 1e30 at k = 1

@@ -16,14 +16,18 @@ Propagation runs in eigen-coordinates: the up component is kept as
 ``y_u = U_uᵀ·up`` and the down component as ``y_d = U_dᵀ·dn``, where ``U_u``
 and ``U_d`` are the blocks' eigenvectors over all N dimensions.  Evolution is
 then a phase per coordinate, and the ancilla projection couples the two
-bases through ``M = U_uᵀ U_d``, cached with its contiguous transpose per
-(N, w, epsilon).  A step is two real long-double products, ``M·y_d`` and
-``Mᵀ·y_u``, each one dot on the (N, 2B) (re, im) view of the state.  B is
-the number of cases in a batch: the equivalence suite runs each group of
-consecutive cases that share (N, w, epsilon, steps) as one batch, one column
-per case, and ``simulate_full_protocol`` is a batch of one.  In long double
-every column is summed in the same order whatever B is, so a case's numbers
-do not depend on the batch it ran in.
+bases through ``M = U_uᵀ U_d``, built with its contiguous transpose once
+per batch.  The equivalence suite runs each group of consecutive cases
+that share (N, w, epsilon, steps) as one batch, one column per case, and
+``simulate_full_protocol`` is a batch of one.  A step is two real
+long-double products, ``M·y_d`` and ``Mᵀ·y_u``, each one dot on the (N, 2R)
+(re, im) view of the R rotating columns of the batch: the cases with
+``sin θ_j ≠ 0`` at some step j >= 0.  A case whose ancilla never rotates
+(θ0 = 0 and dθ = 0) starts with ``y_d = 0`` and projects it back to
+``0·z_d``, so its products would only add exact zeros; it keeps the up-block
+phase and the readout and skips the down block.  In long double every
+column is summed in the same order whatever the batch width is, so a case's
+numbers do not depend on the batch it ran in.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .model import RunRecord, SearchParams, make_params
-from .scaling import parallel_map
+from .model import RunRecord, SearchParams, make_params, parallel_map
 from .stroboscopic import BlockHamiltonians, accumulate_process, subspace_basis_matrices
 
 __all__ = [
@@ -188,13 +191,19 @@ def _propagate(
         np.array([getattr(p, k) for p in params], dtype=rl)
         for k in ("delta_t", "theta0", "delta_theta")
     )
-    phase_u = np.exp(-1j * (F.lam_u[:, None] * dt)).astype(cdtype)
-    phase_d = np.exp(-1j * (F.lam_d[:, None] * dt)).astype(cdtype)
-    # eigen-coordinates y_u = U_uᵀ·up and y_d = U_dᵀ·dn, one column per case
-    y_u = (F.s_u[:, None] * np.cos(theta0)).astype(cdtype)
-    y_d = (F.s_d[:, None] * np.sin(theta0)).astype(cdtype)
     th = theta0 + np.arange(n_max + 1, dtype=rl)[:, None] * dtheta
     cos_th, sin_th = np.cos(th), np.sin(th)
+    # a case whose ancilla never rotates (sin θ_j = 0 at every j >= 0) keeps
+    # y_d = 0 exactly, so both couplings would add exact zeros to it: the
+    # down block and the products run on the rotating columns r only
+    r = np.flatnonzero(np.any(sin_th != 0.0, axis=0))
+    cos_r, sin_r = cos_th[:, r], sin_th[:, r]
+    phase_u = np.exp(-1j * (F.lam_u[:, None] * dt)).astype(cdtype)
+    phase_d = np.exp(-1j * (F.lam_d[:, None] * dt[r])).astype(cdtype)
+    # eigen-coordinates y_u = U_uᵀ·up, one column per case, and y_d = U_dᵀ·dn,
+    # one column per rotating case
+    y_u = (F.s_u[:, None] * np.cos(theta0)).astype(cdtype)
+    y_d = (F.s_d[:, None] * np.sin(theta0[r])).astype(cdtype)
     u_w = F.U_u[w]
     ones = np.ones(N, dtype=rl)
 
@@ -202,24 +211,26 @@ def _propagate(
     fid = np.full((len(params), n_max + 1), 1.0 / N)
     p = np.ones((len(params), n_max + 1))
     for j in range(1, n_max + 1):
-        c, s = cos_th[j], sin_th[j]
+        c, c_r, s = cos_th[j], cos_r[j], sin_r[j]
         y_u *= phase_u
         y_d *= phase_d
         # the projected database state in the up and down eigenbases
-        z_u = c * y_u + s * _apply(F.M, y_d)
-        z_d = c * _apply(F.MT, y_u) + s * y_d
+        z_u = c * y_u
+        z_u[:, r] += s * _apply(F.M, y_d)
+        z_d = c_r * _apply(F.MT, np.take(y_u, r, axis=1)) + s * y_d
         # a dot per column sums in the same order for any batch width
         p[:, j] = np.dot(ones, z_u.real * z_u.real + z_u.imag * z_u.imag)
         norm = np.sqrt(np.where(p[:, j] == 0.0, 1.0, p[:, j]).astype(rl))
         z_u /= norm
-        z_d /= norm
+        z_d /= norm[r]
         amp = np.dot(u_w, z_u.view(rl).reshape(N, -1))  # <w|db>: re, im per case
         fid[:, j] = amp[0::2] * amp[0::2] + amp[1::2] * amp[1::2]
         y_u = c * z_u
         y_d = s * z_d
         if state_callback is not None and p[0, j] != 0.0:
             up = _apply(F.U_u, y_u)[:, 0]
-            dn = _apply(F.U_u, _apply(F.M, y_d))[:, 0]
+            # case 0 is column 0 of y_d when it rotates, and has dn = 0 if not
+            dn = _apply(F.U_u, _apply(F.M, y_d))[:, 0] if 0 in r else np.zeros_like(up)
             state_callback(j, FullState(np.concatenate([up, dn]).astype(complex)))
     # survival is the running product of p, in step order
     return [

@@ -1,16 +1,17 @@
 """Shared domain types and derived-quantity bookkeeping.
 
 Everything dynamical lives elsewhere; this module only validates parameters,
-computes derived quantities (overlap, step counts, rotation rate), and defines
-the value objects passed between the engines.  All types are immutable after
-construction and safe to share across workers.
+computes derived quantities (overlap, step counts, rotation rate), defines
+the value objects passed between the engines, and holds the one worker
+fan-out (``parallel_map``) that the sweeps and the verifier share.  All types
+are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "grover_step_count",
     "split_step_duration",
     "grover_fidelity_closed_form",
+    "parallel_map",
 ]
 
 #: survival probabilities below this are frozen to zero and flagged
@@ -258,3 +260,17 @@ class DampedTwoLevelModel:
     degenerate: bool = False
     overlap_s: Optional[complex] = None
     asymptotic_state: Optional[np.ndarray] = None
+
+
+def parallel_map(fn: Callable, work: Sequence, jobs: int) -> list:
+    """``[fn(w) for w in work]``, fanned out to ``min(jobs, len(work))``
+    worker processes when that is above one; the output follows the input
+    order, so the result does not depend on ``jobs``."""
+    workers = min(jobs, len(work))
+    if workers <= 1:
+        return [fn(w) for w in work]
+    # imported here: only a fan-out needs multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, work))

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .model import SearchParams, make_params, overlap_x
+from .model import SearchParams, make_params, overlap_x, parallel_map
 from .stroboscopic import run_protocol
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "detuned_fidelity_analytic",
     "bad_epsilon_values",
     "quality_factor_sweep",
-    "parallel_map",
 ]
 
 #: f_G below this is treated as a divergent-Q point
@@ -249,17 +248,3 @@ def quality_factor_sweep(
         for r in eps_over_x
     ]
     return parallel_map(_quality_point, work, jobs)
-
-
-def parallel_map(fn: Callable, work: Sequence, jobs: int) -> list:
-    """``[fn(w) for w in work]``, fanned out to ``min(jobs, len(work))``
-    worker processes when that is above one; the output follows the input
-    order, so the result does not depend on ``jobs``."""
-    workers = min(jobs, len(work))
-    if workers <= 1:
-        return [fn(w) for w in work]
-    # imported here: only a fan-out needs multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, work))

@@ -132,6 +132,38 @@ class TestBadInput:
         assert main([a.format(blocker=blocker) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3", "--out", "{out}"],
+            # no --out: the table goes to $ZENOGROVER_OUTDIR/run.csv
+            ["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3"],
+            ["sweep-dt", "--n", "1e10", "--alpha", "0.3", "--grid", "2.8:3.4:21",
+             "--out", "{out}"],
+            ["sweep-eps", "--n", "1e18", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
+             "--grid=-10:10:81", "--out", "{out}"],
+            ["plan-scale", "--n", "1e6", "--k", "1", "--tau", "0.2", "--nr", "1e18",
+             "--check", "--out", "{out}"],
+            ["verify", "--n", "1024", "--steps", "200", "--out", "{out}"],
+            ["eff-compare", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
+             "--out", "{out}"],
+        ],
+        ids=["run", "run-outdir", "sweep-dt", "sweep-eps", "plan-scale", "verify",
+             "eff-compare"],
+    )
+    def test_unwritable_output_exits_before_the_work(self, tmp_path, monkeypatch, capsys, argv):
+        def reached(config):
+            raise AssertionError("the command ran before its output path was checked")
+
+        mode = argv[0]
+        monkeypatch.setitem(cli._COMMANDS, mode, (reached, cli._COMMANDS[mode][1]))
+        # a regular file where the output directory should be
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv("ZENOGROVER_OUTDIR", str(blocker / "sub"))
+        assert main([a.format(out=blocker / "x.csv") for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestJobs:
     def test_pool_is_capped_at_the_grid_size(self, tmp_path, monkeypatch):
@@ -510,6 +542,16 @@ class TestStartup:
         )
         assert "zenogrover.effective" in report["loaded"]
         assert "zenogrover.fullspace" not in report["loaded"]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "4", "--steps", "5"],
+        ["sweep-dt", "--n", "1e4", "--alpha", "0.3", "--grid", "2.9:3.4:3", "--out", "{out}"],
+    ])
+    def test_fan_out_commands_do_not_load_the_planner(self, argv, tmp_path):
+        # parallel_map lives in model, which every command loads
+        out = str(tmp_path / "x.csv")
+        report = self._child("entry", *[a.format(out=out) for a in argv])
+        assert "zenogrover.scaling" not in report["loaded"]
 
     def test_verify_does_not_load_effective(self):
         report = self._child("entry", "verify", "--n", "4", "--steps", "5")

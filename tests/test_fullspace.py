@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zenogrover import fullspace
 from zenogrover.fullspace import (
     EquivalenceCase,
     _apply,
@@ -235,13 +236,17 @@ def _first_zero(survival):
     return int(zero[0]) if zero.size else None
 
 
-#: (delta_t, delta_theta, epsilon, steps); the last two freeze survival at
-#: SURVIVAL_FLOOR (steps 10 and ~600)
+#: (delta_t, delta_theta, epsilon, steps, theta0); annihilation and
+#: deep-damping freeze survival at SURVIVAL_FLOOR (steps 10 and ~600); the
+#: ancilla of no-rotation never rotates, and that of theta0-only starts
+#: rotated and stays there
 REFERENCE_CASES = {
-    "plain": (1.0, 0.01, 0.0, 200),
-    "detuned": (math.pi + 0.2, 0.005, 0.07, 150),
-    "annihilation": (1.0, math.pi / 2, 0.0, 20),
-    "deep-damping": (math.pi, 1.0, 0.0, 700),
+    "plain": (1.0, 0.01, 0.0, 200, 0.0),
+    "detuned": (math.pi + 0.2, 0.005, 0.07, 150, 0.0),
+    "annihilation": (1.0, math.pi / 2, 0.0, 20, 0.0),
+    "deep-damping": (math.pi, 1.0, 0.0, 700, 0.0),
+    "no-rotation": (math.pi + 0.2, 0.0, 0.0, 150, 0.0),
+    "theta0-only": (math.pi + 0.2, 0.0, 0.0, 150, 0.3),
 }
 
 
@@ -250,9 +255,10 @@ class TestAgainstFourProductLoop:
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     @pytest.mark.parametrize("N", [2, 16, 129])
     def test_matches_reference(self, N, case, extended):
-        dt, dth, eps, steps = REFERENCE_CASES[case]
+        dt, dth, eps, steps, theta0 = REFERENCE_CASES[case]
         w = N // 3
-        params = make_params(float(N), dt, delta_theta=dth, epsilon=eps, allow_short=True)
+        params = make_params(float(N), dt, delta_theta=dth, theta0=theta0, epsilon=eps,
+                             allow_short=True)
         ref_f, ref_p, ref_underflow = _reference_protocol(N, w, params, steps, extended)
         record = simulate_full_protocol(N, w, params, n_max=steps, extended=extended)
         assert np.max(np.abs(record.fidelity - ref_f)) <= 1e-11
@@ -274,6 +280,35 @@ class TestBatch:
             alone = simulate_full_protocol(N, cases[0].w, p, n_max=120)
             assert np.array_equal(record.fidelity, alone.fidelity)
             assert np.array_equal(record.survival, alone.survival)
+
+    @pytest.mark.parametrize("N", [16, 129])
+    def test_mixed_group_member_equals_single_run(self, N):
+        # (theta0, dtheta): never rotating, theta0 only, dtheta only, both
+        params = [
+            make_params(float(N), dt, delta_theta=dth, theta0=theta0, allow_short=True)
+            for dt in (1.0, math.pi + 0.2)
+            for theta0, dth in ((0.0, 0.0), (0.3, 0.0), (0.0, 0.01), (0.3, 0.01))
+        ]
+        records = _propagate(N, 5, params, 120)
+        for record, p in zip(records, params):
+            alone = simulate_full_protocol(N, 5, p, n_max=120)
+            assert np.array_equal(record.fidelity, alone.fidelity)
+            assert np.array_equal(record.survival, alone.survival)
+
+    def test_products_skip_cases_whose_ancilla_never_rotates(self, monkeypatch):
+        # dtheta = 0 in 3 of the 9 cases of a default group: the couplings
+        # M·y_d and Mᵀ·y_u take the other 6 columns at every step
+        widths = []
+
+        def counting_apply(U, v):
+            widths.append(v.shape[1])
+            return _apply(U, v)
+
+        monkeypatch.setattr(fullspace, "_apply", counting_apply)
+        cases = default_equivalence_cases(sizes=(16,), steps=30)[:9]
+        assert sum(c.delta_theta == 0.0 for c in cases) == 3
+        _propagate(16, cases[0].w, [make_case_params(c) for c in cases], 30)
+        assert widths == [6] * (2 * 30)
 
 
 class TestApply:
