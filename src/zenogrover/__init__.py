@@ -27,7 +27,6 @@ _EXPORTS_BY_MODULE = {
         "parallel_map",
     ),
     "stroboscopic": (
-        "BlockHamiltonians",
         "accumulate_process",
         "approx_step_operator",
         "distance_from_unitarity",
@@ -38,7 +37,6 @@ _EXPORTS_BY_MODULE = {
         "subspace_basis_matrices",
     ),
     "fullspace": (
-        "FullState",
         "equivalence_suite",
         "simulate_full_protocol",
     ),

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .model import SearchParams, grover_fidelity_closed_form, make_params, parallel_map
-from .stroboscopic import BlockHamiltonians, final_distance, run_protocol
+from .stroboscopic import FAULTS, final_distance, run_protocol
 
 # every command runs the modules above; the effective engine, the full-space
 # oracle and the scaling planner are imported inside the commands that call
@@ -101,12 +101,7 @@ def _fmt(v) -> str:
         return str(bool(v)).lower()
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    f = float(v)
-    if math.isnan(f):
-        return "nan"
-    if math.isinf(f):
-        return "inf" if f > 0 else "-inf"
-    return format(f, ".17g")
+    return format(float(v), ".17g")  # nan, inf and -inf as they are
 
 
 def _resolve_out(config: RunConfig) -> Path:
@@ -321,27 +316,17 @@ def cmd_plan_scale(config: RunConfig) -> int:
     return 0
 
 
-def _hdown_sign(b: BlockHamiltonians) -> BlockHamiltonians:
-    # classic sign slip: the driving term not flipped in the down block
-    return BlockHamiltonians(h_up=b.h_up, h_down=b.h_up.copy())
-
-
-def _fault_transform(name: str):
-    if name == "hdown-sign":
-        return _hdown_sign
-    raise ConfigError(f"unknown fault {name!r}")
-
-
 def cmd_verify(config: RunConfig) -> int:
     """Subspace-vs-fullspace equivalence suite plus unitary-limit regression."""
     from .fullspace import (
+        EQUIVALENCE_STEPS,
         EQUIVALENCE_TOLERANCE,
         MAX_FULLSPACE_N,
         default_equivalence_cases,
         equivalence_suite,
     )
 
-    steps = config.steps if config.steps is not None else 200
+    steps = config.steps if config.steps is not None else EQUIVALENCE_STEPS
     if config.N is None:
         cases = default_equivalence_cases(steps=steps)
     else:
@@ -353,11 +338,7 @@ def cmd_verify(config: RunConfig) -> int:
             raise ConfigError(f"verify needs an integer N, got {config.N!r}")
         cases = default_equivalence_cases(sizes=(int(config.N),), steps=steps)
 
-    transform = None
-    if config.inject_fault is not None:
-        transform = _fault_transform(config.inject_fault)
-
-    results = equivalence_suite(cases, block_transform=transform, jobs=config.jobs)
+    results = equivalence_suite(cases, config.inject_fault or "exact", config.jobs)
     failures = 0
     print(f"{'N':>5} {'w':>5} {'dt':>10} {'dtheta':>8} {'max|df|':>12} {'max|dP|':>12}  status")
     for r in results:
@@ -449,6 +430,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be lo:hi:count")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError("grid bounds must be finite")
     if count < 1:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
     return lo, hi, count
@@ -471,7 +454,7 @@ _FLAGS = {
                           help="sweep grid: dt for sweep-dt, eps/x for sweep-eps")),
     "nr": ("N_requested", dict(type=float, help="requested database size")),
     "check": ("check", dict(action="store_true", help="run both processes and compare")),
-    "inject-fault": ("inject_fault", dict(help=argparse.SUPPRESS)),
+    "inject-fault": ("inject_fault", dict(choices=FAULTS, help=argparse.SUPPRESS)),
     "out": ("out", dict(help="output path")),
     "jobs": ("jobs", dict(type=int, help="worker processes (sweep-dt, sweep-eps, verify)")),
 }

@@ -42,12 +42,12 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .model import RunRecord, SearchParams, make_params, parallel_map
-from .stroboscopic import BlockHamiltonians, accumulate_process, subspace_basis_matrices
+from .stroboscopic import accumulate_process
 
 __all__ = [
-    "FullState",
     "MAX_FULLSPACE_N",
     "EQUIVALENCE_TOLERANCE",
+    "EQUIVALENCE_STEPS",
     "simulate_full_protocol",
     "EquivalenceCase",
     "EquivalenceResult",
@@ -58,22 +58,13 @@ __all__ = [
 MAX_FULLSPACE_N = 4096
 #: largest per-step |f| and |P| deviation at which an equivalence case passes
 EQUIVALENCE_TOLERANCE = 1e-8
+#: steps of every equivalence case unless it names its own
+EQUIVALENCE_STEPS = 200
 #: refined (long double) pipeline is the default up to this size
 EXTENDED_PRECISION_MAX_N = 1024
 
 _LD = np.longdouble
 _CLD = np.complex256 if hasattr(np, "complex256") else np.complex128
-
-
-@dataclass(frozen=True)
-class FullState:
-    """Joint state, ancilla-major ordering (index = a*N + n, a in {up, down})."""
-
-    amplitudes: np.ndarray
-
-    @property
-    def N(self) -> int:
-        return self.amplitudes.size // 2
 
 
 def _check_target(N: int, w: int) -> None:
@@ -176,7 +167,7 @@ def _propagate(
     params: Sequence[SearchParams],
     n_max: Optional[int],
     extended: Optional[bool] = None,
-    state_callback: Optional[Callable[[int, FullState], None]] = None,
+    state_callback: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> list[RunRecord]:
     """Run a batch of protocols that share (N, w, epsilon) in the block
     eigenbases; returns one record per case.  ``state_callback`` sees case 0."""
@@ -231,7 +222,7 @@ def _propagate(
             up = _apply(F.U_u, y_u)[:, 0]
             # case 0 is column 0 of y_d when it rotates, and has dn = 0 if not
             dn = _apply(F.U_u, _apply(F.M, y_d))[:, 0] if 0 in r else np.zeros_like(up)
-            state_callback(j, FullState(np.concatenate([up, dn]).astype(complex)))
+            state_callback(j, np.concatenate([up, dn]).astype(complex))
     # survival is the running product of p, in step order
     return [
         RunRecord.from_series(q, f, np.cumprod(pq), pq == 0.0)
@@ -245,15 +236,16 @@ def simulate_full_protocol(
     params: SearchParams,
     n_max: Optional[int] = None,
     extended: Optional[bool] = None,
-    state_callback: Optional[Callable[[int, FullState], None]] = None,
+    state_callback: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> RunRecord:
     """Run the protocol in the joint space: evolve by exp(-i H dt), project the
     ancilla onto the rotated state, renormalize, repeat.
 
     Fidelity is measured against |w> in the database factor; survival is the
     product of per-step success probabilities.  The distance column is NaN
-    (the reduced operator is not tracked here).  ``state_callback`` receives
-    the normalized joint state after every successful step.
+    (the reduced operator is not tracked here).  ``state_callback(j, psi)``
+    receives the normalized joint state after every successful step j as a
+    (2N,) complex array, ancilla-major: index a*N + n, a = 0 up, 1 down.
     """
     if int(round(params.N)) != N:
         raise ValueError(
@@ -269,7 +261,7 @@ class EquivalenceCase:
     delta_t: float
     delta_theta: float
     epsilon: float = 0.0
-    steps: int = 200
+    steps: int = EQUIVALENCE_STEPS
 
 
 @dataclass(frozen=True)
@@ -278,10 +270,10 @@ class EquivalenceResult:
     max_fidelity_deviation: float
     max_survival_deviation: float
 
-    def passed(self, tol: float = EQUIVALENCE_TOLERANCE) -> bool:
+    def passed(self) -> bool:
         return (
-            self.max_fidelity_deviation < tol
-            and self.max_survival_deviation < tol
+            self.max_fidelity_deviation < EQUIVALENCE_TOLERANCE
+            and self.max_survival_deviation < EQUIVALENCE_TOLERANCE
         )
 
 
@@ -291,7 +283,7 @@ _CASE_SEED = 20260809
 
 def default_equivalence_cases(
     sizes: tuple[int, ...] = (4, 16, 64, 256),
-    steps: int = 200,
+    steps: int = EQUIVALENCE_STEPS,
 ) -> list[EquivalenceCase]:
     """The standard verification matrix: for each N in ``sizes``, min(3, N)
     distinct targets drawn by a generator seeded with _CASE_SEED, so each N
@@ -307,39 +299,31 @@ def default_equivalence_cases(
 
 
 def equivalence_suite(
-    cases: Optional[list[EquivalenceCase]] = None,
-    block_transform: Optional[Callable[[BlockHamiltonians], BlockHamiltonians]] = None,
-    jobs: int = 1,
+    cases: Optional[list[EquivalenceCase]] = None, engine: str = "exact", jobs: int = 1
 ) -> list[EquivalenceResult]:
-    """Compare the subspace engine against the full-space simulation case by
-    case.  Consecutive cases that share (N, w, epsilon, steps) run through
-    the full space as one batch, and the batches fan out to ``jobs`` worker
-    processes; the results follow the case order either way.
-    ``block_transform``, when given, perturbs the subspace engine's block
-    matrices before use (fault-injection hook for testing the suite's own
-    sensitivity); it must pickle when ``jobs > 1``."""
+    """Compare the subspace ``engine`` against the full-space simulation case
+    by case.  ``verify --inject-fault hdown-sign`` runs the suite against the
+    exact engine with Q = P (see :data:`stroboscopic.FAULTS`), and then it
+    must fail.  Consecutive cases that share (N, w, epsilon, steps) run
+    through the full space as one batch, and the batches fan out to ``jobs``
+    worker processes; the results follow the case order either way."""
     if cases is None:
         cases = default_equivalence_cases()
     groups = [
         list(group)
         for _, group in groupby(cases, key=lambda c: (c.N, c.w, c.epsilon, c.steps))
     ]
-    compare = partial(_compare_group, block_transform=block_transform)
+    compare = partial(_compare_group, engine=engine)
     return [r for results in parallel_map(compare, groups, jobs) for r in results]
 
 
-def _compare_group(
-    cases: list[EquivalenceCase],
-    block_transform: Optional[Callable[[BlockHamiltonians], BlockHamiltonians]],
-) -> list[EquivalenceResult]:
+def _compare_group(cases: list[EquivalenceCase], engine: str) -> list[EquivalenceResult]:
     N, w, steps = cases[0].N, cases[0].w, cases[0].steps
     params = [make_case_params(case) for case in cases]
+    # the subspace engine runs first, so an unknown name fails before the full space
+    subs = [accumulate_process(p, steps, engine)[1] for p in params]
     results = []
-    for case, p, full in zip(cases, params, _propagate(N, w, params, steps)):
-        blocks = subspace_basis_matrices(p)
-        if block_transform is not None:
-            blocks = block_transform(blocks)
-        _, sub = accumulate_process(p, steps, blocks=blocks)
+    for case, sub, full in zip(cases, subs, _propagate(N, w, params, steps)):
         results.append(
             EquivalenceResult(
                 case=case,

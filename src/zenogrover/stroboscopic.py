@@ -9,7 +9,9 @@ subspace spanned by the target |w> and the residual |r> as
 
 with (P, Q) a fixed matrix pair per engine: the block propagators
 (exp(-i h_up dt), exp(-i h_dn dt)) of the two ancilla blocks for the exact
-engine, the small-overlap matrices for the approximate one.  Since
+engine, the small-overlap matrices for the approximate one.  ``verify
+--inject-fault hdown-sign`` runs the suite against the exact engine with
+Q = P (its down block's driving term left unflipped), and must fail.  Since
 C_j + S_j = cos(dtheta) and C_j - S_j = cos(theta_{j-1} + theta_j),
 
     V_j = cos(dtheta) (P+Q)/2 + cos(phi_j) (P-Q)/2,
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -48,7 +49,7 @@ import numpy as np
 from .model import RunRecord, SearchParams
 
 __all__ = [
-    "BlockHamiltonians",
+    "FAULTS",
     "subspace_basis_matrices",
     "expm_2x2_hermitian",
     "exact_step_operator",
@@ -60,31 +61,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BlockHamiltonians:
-    """The two ancilla blocks of the joint Hamiltonian, in the (|w>, |r>) basis.
+#: the named faults of the exact engine; :func:`_engine_matrices` defines them
+FAULTS = ("hdown-sign",)
+
+
+def subspace_basis_matrices(params: SearchParams) -> tuple[np.ndarray, np.ndarray]:
+    """The two ancilla blocks (h_up, h_dn) of the joint Hamiltonian in the
+    (|w>, |r>) basis, for the given overlap x and detuning epsilon:
 
     h_up = -(1+eps)|w><w| - |s><s|  (ancilla up),
     h_dn = -(1+eps)|w><w| + |s><s|  (ancilla down).
-    Their sum is -2(1+eps)|w><w|: the driving parts cancel.
-    """
 
-    h_up: np.ndarray
-    h_down: np.ndarray
-
-
-def subspace_basis_matrices(params: SearchParams) -> BlockHamiltonians:
-    """Build both blocks for the given overlap x and detuning epsilon.
-
-    With |s> = x|w> + sqrt(1-x^2)|r>, the projector |s><s| has entries
-    [[x^2, x*c], [x*c, c^2]] where c = sqrt(1-x^2).
+    Their sum is -2(1+eps)|w><w|: the driving parts cancel.  With |s> =
+    x|w> + c|r>, c = sqrt(1-x^2), |s><s| has entries [[x^2, x*c], [x*c, c^2]].
     """
     x = params.x
     c = math.sqrt(1.0 - x * x)
     ww = np.array([[1.0, 0.0], [0.0, 0.0]])
     ss = np.array([[x * x, x * c], [x * c, c * c]])
     coeff = 1.0 + params.epsilon
-    return BlockHamiltonians(h_up=-coeff * ww - ss, h_down=-coeff * ww + ss)
+    return -coeff * ww - ss, -coeff * ww + ss
 
 
 def expm_2x2_hermitian(H: np.ndarray, t: float) -> np.ndarray:
@@ -114,18 +110,16 @@ def distance_from_unitarity(V: np.ndarray) -> float:
     return 1.0 - 0.5 * float(np.sum(np.abs(V) ** 2))
 
 
-def _engine_matrices(
-    params: SearchParams, engine: str, blocks: Optional[BlockHamiltonians]
-) -> tuple[np.ndarray, np.ndarray]:
+def _engine_matrices(params: SearchParams, engine: str) -> tuple[np.ndarray, np.ndarray]:
     """The fixed pair (P, Q) of V_j = C_j P + S_j Q: the block propagators
-    for ``exact``, the matrices of :func:`approx_step_operator` for ``approx``."""
-    if engine == "exact":
-        if blocks is None:
-            blocks = subspace_basis_matrices(params)
-        return (
-            expm_2x2_hermitian(blocks.h_up, params.delta_t),
-            expm_2x2_hermitian(blocks.h_down, params.delta_t),
-        )
+    for ``exact`` and Q = P for its fault ``hdown-sign`` (see :data:`FAULTS`),
+    the matrices of :func:`approx_step_operator` for ``approx``."""
+    if engine in ("exact", *FAULTS):
+        h_up, h_dn = subspace_basis_matrices(params)
+        P = expm_2x2_hermitian(h_up, params.delta_t)
+        if engine == "hdown-sign":
+            return P, P
+        return P, expm_2x2_hermitian(h_dn, params.delta_t)
     if engine == "approx":
         if params.epsilon != 0.0:
             raise ValueError(
@@ -154,13 +148,11 @@ _BLOCK_STEPS = 1 << 14
 StepSource = Callable[[np.ndarray, int, int], None]
 
 
-def _step_source(
-    params: SearchParams, engine: str, blocks: Optional[BlockHamiltonians]
-) -> StepSource:
+def _step_source(params: SearchParams, engine: str) -> StepSource:
     """The cycle operators V_j = cos(dtheta) (P+Q)/2 + cos(phi_j) (P-Q)/2 of
     ``engine``; a buffer of c chunks gets steps first, ..., first + c*_CHUNK - 1
     in every slot, and the kernel pads over those past ``count``."""
-    P, Q = _engine_matrices(params, engine, blocks)
+    P, Q = _engine_matrices(params, engine)
     mean = ((0.5 * math.cos(params.delta_theta)) * (P + Q)).reshape(1, 2, 2, 1)
     half = (0.5 * (P - Q)).reshape(1, 2, 2, 1)
 
@@ -178,7 +170,7 @@ def _step_operator(j: int, params: SearchParams, engine: str) -> np.ndarray:
     if j < 1:
         raise ValueError(f"step index must be >= 1, got {j}")
     V = np.empty((1, 2, 2, 1), dtype=complex)
-    _step_source(params, engine, None)(V, j, 1)
+    _step_source(params, engine)(V, j, 1)
     return V.reshape(2, 2)
 
 
@@ -198,12 +190,10 @@ def approx_step_operator(j: int, params: SearchParams) -> np.ndarray:
 
 
 def accumulate_process(
-    params: SearchParams,
-    n: int,
-    engine: str = "exact",
-    blocks: Optional[BlockHamiltonians] = None,
+    params: SearchParams, n: int, engine: str = "exact"
 ) -> tuple[np.ndarray, RunRecord]:
-    """Accumulate V(n) = V_n ... V_1 and record the full trajectory.
+    """Accumulate V(n) = V_n ... V_1 of ``engine`` (``exact``, ``approx`` or
+    a fault of :data:`FAULTS`) and record the full trajectory.
 
     Returns the accumulated operator and a :class:`RunRecord` sampled at every
     step (row 0 is the initial state).  Survival is the squared norm of the
@@ -211,7 +201,7 @@ def accumulate_process(
     keeps rescaled, so it stays meaningful long after survival underflows.
     """
     n = params.step_count(n)
-    return _propagate(params, _step_source(params, engine, blocks), n)
+    return _propagate(params, _step_source(params, engine), n)
 
 
 #: prefixes are rescaled every _RESCALE steps; the square of a product of
@@ -345,6 +335,6 @@ def final_distance(params: SearchParams, n: Optional[int] = None) -> float:
     equals its last ``distance`` entry bit for bit.
     """
     n = params.step_count(n)
-    for W, g in _scan(_step_source(params, "exact", None), n, record=False):
+    for W, g in _scan(_step_source(params, "exact"), n, record=False):
         pass  # the last chunk of the last batch ends at step n
     return float(_distance(W[..., -1:], g[..., -1:])[0, 0])

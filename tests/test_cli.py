@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -255,6 +256,29 @@ class TestFlagTable:
         assert flag in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep-dt", "--n", "1e6", "--alpha", "0.3", "--grid", "1:nan:3"], "--grid"),
+            (["sweep-eps", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
+              "--grid=-inf:1:3"], "--grid"),
+            (["verify", "--n", "8", "--inject-fault", "nope"], "--inject-fault"),
+        ],
+        ids=["sweep-dt-grid-nan", "sweep-eps-grid-inf", "verify-unknown-fault"],
+    )
+    def test_bad_flag_value_exits_2(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.setenv("ZENOGROVER_OUTDIR", str(tmp_path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert not caught
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("mode", list(FLAGS_READ))
     def test_every_read_flag_reaches_its_field(self, tmp_path, capsys, mode):
         out = str(tmp_path / "x.csv")
@@ -423,6 +447,17 @@ class TestVerify:
         ])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_unknown_fault_exits_before_the_full_space(self, monkeypatch, capsys):
+        from zenogrover import fullspace
+
+        def reached(*args):
+            raise AssertionError("the full space ran before the fault name was checked")
+
+        monkeypatch.setattr(fullspace, "_propagate", reached)
+        assert run_config(RunConfig(mode="verify", N=8.0, steps=5, inject_fault="nope")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'nope'" in err
 
     def test_oversized_request_is_config_error(self):
         assert main(["verify", "--n", "8192"]) == 2

@@ -32,10 +32,10 @@ class TestExtract:
 
     def test_recovers_generator_on_principal_branch(self):
         p = make_params(16.0, 1.2)
-        blocks = subspace_basis_matrices(p)
-        V = expm_2x2_hermitian(blocks.h_up, p.delta_t)
+        h_up, h_dn = subspace_basis_matrices(p)
+        V = expm_2x2_hermitian(h_up, p.delta_t)
         h = extract_step_hamiltonian(V, p.delta_t)
-        np.testing.assert_allclose(h.matrix, blocks.h_up, atol=1e-10)
+        np.testing.assert_allclose(h.matrix, h_up, atol=1e-10)
         assert np.max(np.abs(h.antihermitian_part)) < 1e-12
 
     def test_roundtrip_on_protocol_steps(self):

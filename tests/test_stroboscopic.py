@@ -127,7 +127,7 @@ def _steps_case(N, n=None, engine="exact", **kwargs):
     def build():
         p = make_params(N, **kwargs)
         steps = p.n_G if n is None else n
-        return p, steps, lambda: stroboscopic._step_source(p, engine, None)
+        return p, steps, lambda: stroboscopic._step_source(p, engine)
 
     return build
 
@@ -136,7 +136,7 @@ def _zero_step_case():
     # step 70 (in the second chunk) annihilates the state exactly
     p = make_params(1e4, 1.0, alpha=0.3)
     n = 200
-    exact = stroboscopic._step_source(p, "exact", None)
+    exact = stroboscopic._step_source(p, "exact")
 
     def fill(buf, first, count):
         exact(buf, first, count)
@@ -214,7 +214,7 @@ class TestStepSource:
         p = make_params(1e6, math.pi + 0.2, delta_theta=0.013, theta0=0.3)
         step = exact_step_operator if engine == "exact" else approx_step_operator
         buf = np.empty((stroboscopic._CHUNK, 2, 2, 3), dtype=complex)
-        stroboscopic._step_source(p, engine, None)(buf, 101, buf.size // 4)
+        stroboscopic._step_source(p, engine)(buf, 101, buf.size // 4)
         for c, i in itertools.product(range(3), (0, 1, 37, 63)):
             j = 101 + stroboscopic._CHUNK * c + i
             assert np.array_equal(buf[i, :, :, c], step(j, p))
@@ -234,39 +234,39 @@ class TestStepSource:
 class TestBlockMatrices:
     def test_explicit_entries_at_n4(self):
         p = make_params(4.0, 1.0)
-        blocks = subspace_basis_matrices(p)
+        h_up, h_dn = subspace_basis_matrices(p)
         r3 = 0.25 * math.sqrt(3)
         np.testing.assert_allclose(
-            blocks.h_up, [[-1.25, -r3], [-r3, -0.75]], atol=1e-15
+            h_up, [[-1.25, -r3], [-r3, -0.75]], atol=1e-15
         )
         np.testing.assert_allclose(
-            blocks.h_down, [[-0.75, r3], [r3, 0.75]], atol=1e-15
+            h_dn, [[-0.75, r3], [r3, 0.75]], atol=1e-15
         )
 
     def test_small_overlap_limit(self):
         p = make_params(1e18, 2.0)
-        blocks = subspace_basis_matrices(p)
-        np.testing.assert_allclose(blocks.h_up, -np.eye(2), atol=2 * p.x)
+        h_up, h_dn = subspace_basis_matrices(p)
+        np.testing.assert_allclose(h_up, -np.eye(2), atol=2 * p.x)
 
     def test_driving_terms_cancel_in_sum(self):
         p = make_params(64.0, 1.0, epsilon=0.07)
-        blocks = subspace_basis_matrices(p)
+        h_up, h_dn = subspace_basis_matrices(p)
         expected = -2.0 * (1.0 + p.epsilon) * np.array([[1.0, 0.0], [0.0, 0.0]])
-        np.testing.assert_allclose(blocks.h_up + blocks.h_down, expected, atol=1e-14)
+        np.testing.assert_allclose(h_up + h_dn, expected, atol=1e-14)
 
     def test_hermitian(self):
         p = make_params(16.0, 1.0, epsilon=0.3)
-        blocks = subspace_basis_matrices(p)
-        assert np.max(np.abs(blocks.h_up - blocks.h_up.T)) < 1e-14
-        assert np.max(np.abs(blocks.h_down - blocks.h_down.T)) < 1e-14
+        h_up, h_dn = subspace_basis_matrices(p)
+        assert np.max(np.abs(h_up - h_up.T)) < 1e-14
+        assert np.max(np.abs(h_dn - h_dn.T)) < 1e-14
 
     def test_up_block_spectrum_is_minus_one_plus_minus_x(self):
         # cross-checked two ways: numeric eigensolve and the characteristic
         # polynomial lambda^2 + 2 lambda + (1 - x^2)
         for N in (4.0, 16.0, 100.0):
             p = make_params(N, 1.0)
-            blocks = subspace_basis_matrices(p)
-            eig = np.sort(np.linalg.eigvalsh(blocks.h_up))
+            h_up, h_dn = subspace_basis_matrices(p)
+            eig = np.sort(np.linalg.eigvalsh(h_up))
             np.testing.assert_allclose(eig, [-1 - p.x, -1 + p.x], atol=1e-12)
             for lam in eig:
                 assert abs(lam**2 + 2 * lam + (1 - p.x**2)) < 1e-12
@@ -294,9 +294,9 @@ class TestExpm2x2:
 class TestStepOperators:
     def test_no_rotation_is_unitary_evolution(self):
         p = make_params(1e6, 1.0, delta_theta=0.0)
-        blocks = subspace_basis_matrices(p)
+        h_up, h_dn = subspace_basis_matrices(p)
         op = exact_step_operator(5, p)
-        expected = expm_2x2_hermitian(blocks.h_up, p.delta_t)
+        expected = expm_2x2_hermitian(h_up, p.delta_t)
         np.testing.assert_allclose(op, expected, atol=1e-15)
         assert abs(distance_from_unitarity(op)) < 1e-12
 
@@ -311,9 +311,9 @@ class TestStepOperators:
         # reference: V_j = C_j P + S_j Q with the per-step weights; the cosine
         # form reorders the arithmetic, so allow a few double-precision ulps
         p = make_params(1e6, math.pi + 0.2, delta_theta=0.013, theta0=0.3)
-        blocks = subspace_basis_matrices(p)
-        E_up = expm_2x2_hermitian(blocks.h_up, p.delta_t)
-        E_dn = expm_2x2_hermitian(blocks.h_down, p.delta_t)
+        h_up, h_dn = subspace_basis_matrices(p)
+        E_up = expm_2x2_hermitian(h_up, p.delta_t)
+        E_dn = expm_2x2_hermitian(h_dn, p.delta_t)
         damp = np.exp(-2j * p.delta_t)
         for j in (1, 2, 77, 5000):
             c, s = cycle_weights(j, p)
@@ -561,7 +561,7 @@ class TestFinalDistancePrecision:
         assert p.n_G == steps
         with mpmath.workdps(30):
             a, b, c, d = mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(1)
-            for v in _entries(stroboscopic._step_source(p, "exact", None), steps).tolist():
+            for v in _entries(stroboscopic._step_source(p, "exact"), steps).tolist():
                 v00, v01, v10, v11 = map(mpmath.mpc, v)
                 a, b, c, d = (
                     v00 * a + v01 * c,
