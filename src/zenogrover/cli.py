@@ -25,7 +25,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .model import SearchParams, grover_fidelity_closed_form, make_params, parallel_map
+from .model import (
+    EQUIVALENCE_STEPS,
+    SearchParams,
+    grover_fidelity_closed_form,
+    make_params,
+    parallel_map,
+)
 from .stroboscopic import FAULTS, final_distance, run_protocol
 
 # every command runs the modules above; the effective engine, the full-space
@@ -319,7 +325,6 @@ def cmd_plan_scale(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     """Subspace-vs-fullspace equivalence suite plus unitary-limit regression."""
     from .fullspace import (
-        EQUIVALENCE_STEPS,
         EQUIVALENCE_TOLERANCE,
         MAX_FULLSPACE_N,
         default_equivalence_cases,
@@ -448,7 +453,8 @@ _FLAGS = {
     "dtheta": ("delta_theta", dict(type=float, help="per-step ancilla rotation")),
     "theta0": ("theta0", dict(type=float, help="initial ancilla angle")),
     "eps": ("epsilon", dict(type=float, help="target-term detuning")),
-    "steps": ("steps", dict(type=int, help="step count (default n_G; verify: 200)")),
+    "steps": ("steps", dict(
+        type=int, help=f"step count (default n_G; verify: {EQUIVALENCE_STEPS})")),
     "engine": ("engine", dict(choices=("exact", "approx", "effective"))),
     "grid": ("grid", dict(type=_parse_grid, metavar="LO:HI:COUNT",
                           help="sweep grid: dt for sweep-dt, eps/x for sweep-eps")),

@@ -1,33 +1,31 @@
 """Brute-force verifier in the full 2N-dimensional joint Hilbert space.
 
 Simulates the actual protocol — evolve the ancilla+database state, project the
-ancilla, renormalize — without any subspace reduction, to validate the 2x2
-engine end to end.  Small N only; the point is ground truth, not scale.
+ancilla, renormalize — without the 2x2 reduction, to validate the subspace
+engines end to end.
 
-Accuracy note: the success branch can be damped by many orders of magnitude
-over a run.  Rounding noise that leaks into directions orthogonal to the
-search subspace is not damped along with it, so its relative weight grows
-like 1/sqrt(P).  To keep the oracle trustworthy deep into that regime, the
-block eigendecompositions are refined to extended (long double) precision and
-the state is propagated in extended precision as well.  This stays within
-double-precision semantics at the interface: inputs and outputs are doubles.
+Each ancilla block of the Hamiltonian is a rank-2 change of zero,
+``H_b = V A_b Vᵀ`` with ``V = [e_w, |s>]`` (N x 2), Gram matrix
+``G = VᵀV = [[1, g], [g, 1]]``, ``g = 1/sqrt(N)``, and
+``A_b = diag(-(1+ε), σ_b)``: σ = -1 for the up block, +1 for the down block.
+For every vector of C^N, therefore,
 
-Propagation runs in eigen-coordinates: the up component is kept as
-``y_u = U_uᵀ·up`` and the down component as ``y_d = U_dᵀ·dn``, where ``U_u``
-and ``U_d`` are the blocks' eigenvectors over all N dimensions.  Evolution is
-then a phase per coordinate, and the ancilla projection couples the two
-bases through ``M = U_uᵀ U_d``, built with its contiguous transpose once
-per batch.  The equivalence suite runs each group of consecutive cases
-that share (N, w, epsilon, steps) as one batch, one column per case, and
-``simulate_full_protocol`` is a batch of one.  A step is two real
-long-double products, ``M·y_d`` and ``Mᵀ·y_u``, each one dot on the (N, 2R)
-(re, im) view of the R rotating columns of the batch: the cases with
-``sin θ_j ≠ 0`` at some step j >= 0.  A case whose ancilla never rotates
-(θ0 = 0 and dθ = 0) starts with ``y_d = 0`` and projects it back to
-``0·z_d``, so its products would only add exact zeros; it keeps the up-block
-phase and the readout and skips the down block.  In long double every
-column is summed in the same order whatever the batch width is, so a case's
-numbers do not depend on the batch it ran in.
+    exp(-i H_b dt) = I + V K_b Vᵀ,
+    K_b = G^{-1/2} (exp(-i dt G^{1/2} A_b G^{1/2}) - I) G^{-1/2}.
+
+This is the full propagator, not a projection of the state: on the
+complement of span{|w>, |s>} it is exactly the identity.  A step costs O(N):
+read ``Vᵀψ = (ψ_w, g·Σψ)``, apply the 2x2 ``K_b``, add ``V·Δ`` back.
+
+The state is one (2, B, N) complex128 array, ancilla block first and one
+row per case; the equivalence suite runs each group of consecutive cases
+that share (N, w, epsilon, steps) as one batch, and
+``simulate_full_protocol`` is a batch of one.  Every sum runs along the
+last, contiguous axis, so a case's numbers do not depend on the batch it
+ran in.  Every entry other than the target goes through the same
+floating-point operations, so those entries stay bitwise equal: the
+invariance of span{|w>, |s>} is a symmetry that the arithmetic keeps
+exactly, and no rounding leak can outgrow a deeply damped success branch.
 """
 
 from __future__ import annotations
@@ -37,11 +35,11 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import RunRecord, SearchParams, make_params, parallel_map
+from .model import EQUIVALENCE_STEPS, RunRecord, SearchParams, make_params, parallel_map
 from .stroboscopic import accumulate_process
 
 __all__ = [
@@ -55,16 +53,9 @@ __all__ = [
     "equivalence_suite",
 ]
 
-MAX_FULLSPACE_N = 4096
+MAX_FULLSPACE_N = 2**20
 #: largest per-step |f| and |P| deviation at which an equivalence case passes
 EQUIVALENCE_TOLERANCE = 1e-8
-#: steps of every equivalence case unless it names its own
-EQUIVALENCE_STEPS = 200
-#: refined (long double) pipeline is the default up to this size
-EXTENDED_PRECISION_MAX_N = 1024
-
-_LD = np.longdouble
-_CLD = np.complex256 if hasattr(np, "complex256") else np.complex128
 
 
 def _check_target(N: int, w: int) -> None:
@@ -74,91 +65,28 @@ def _check_target(N: int, w: int) -> None:
         raise ValueError(f"target index w={w} out of range for N={N}")
 
 
-def _block(N: int, w: int, coeff_w: float, coeff_s: float) -> np.ndarray:
-    s = np.full(N, 1.0 / math.sqrt(N))
-    H = coeff_s * np.outer(s, s)
-    H[w, w] += coeff_w
-    return H
+def _step_kernels(N: int, epsilon: float, dt: np.ndarray) -> np.ndarray:
+    """``K_b`` of both blocks for each step duration in ``dt``, shape
+    (2, B, 2, 2): ``exp(-i H_b dt) = I + V K_b Vᵀ`` on all of C^N."""
+    g = 1.0 / math.sqrt(N)
+    lam, Q = np.linalg.eigh(np.array([[1.0, g], [g, 1.0]]))
+    root, inv_root = (Q * np.sqrt(lam)) @ Q.T, (Q / np.sqrt(lam)) @ Q.T
+    A = np.array([np.diag([-(1.0 + epsilon), sigma]) for sigma in (-1.0, 1.0)])
+    mu, R = np.linalg.eigh(root @ A @ root)
+    # exp(-i dt S) - I = R diag(expm1(-i dt mu)) Rᵀ, per block and case
+    E = np.expm1(-1j * mu[:, None, :] * dt[:, None])
+    R = R[:, None]
+    return inv_root @ ((R * E[..., None, :]) @ np.swapaxes(R, -1, -2)) @ inv_root
 
 
-def _eigh_refined(N: int, w: int, coeff_w: float, coeff_s: float):
-    """Eigendecomposition of one block, refined to long-double accuracy.
-
-    Seeds with LAPACK, then applies one first-order eigenvector correction
-    computed in long double through the rank-2 structure of the block
-    (O(N^2) extended-precision work).  Pairs closer than the cluster gap are
-    left uncorrected: mixing inside a (near-)degenerate eigenspace commutes
-    with any function of the matrix, so it cannot leak amplitude between
-    eigenspaces.
-    """
-    _, U0 = np.linalg.eigh(_block(N, w, coeff_w, coeff_s))
-    U = U0.astype(_LD)
-    s_ld = np.ones(N, dtype=_LD) / np.sqrt(_LD(N))
-    cw, cs = _LD(coeff_w), _LD(coeff_s)
-
-    uw = U[w, :].copy()  # <w| U
-    us = s_ld @ U  # <s| U
-    A = cw * np.outer(uw, uw) + cs * np.outer(us, us)
-    lam = np.diag(A).copy()
-
-    gap = lam[None, :] - lam[:, None]
-    scale = max(abs(coeff_w), abs(coeff_s))
-    # W = A / gap off the clusters, written in place to keep the N x N long
-    # double temporaries few; the diagonal of A is never read (its gap is 0)
-    mask = np.abs(gap) > 1e-6 * scale
-    W = np.zeros((N, N), dtype=_LD)
-    np.divide(A, gap, out=W, where=mask)
-    del A, gap
-    # second-order-small correction: double-precision product is enough
-    U += (U0 @ W.astype(float)).astype(_LD)
-    return lam, U
-
-
-class _Factors(NamedTuple):
-    lam_u: np.ndarray
-    lam_d: np.ndarray
-    U_u: np.ndarray
-    M: np.ndarray  # U_uᵀ U_d
-    MT: np.ndarray  # contiguous Mᵀ
-    s_u: np.ndarray  # U_uᵀ |s>
-    s_d: np.ndarray  # U_dᵀ |s>
-
-
-def _block_propagator_factors(N: int, w: int, epsilon: float, extended: bool) -> _Factors:
-    """Both blocks' eigenvalues, the up block's eigenvectors ``U_u``, the
-    coupling ``M = U_uᵀ U_d`` with its contiguous transpose, and ``|s>`` in
-    each eigenbasis."""
-    def eigh(coeff_s: float):
-        if extended:
-            return _eigh_refined(N, w, -(1.0 + epsilon), coeff_s)
-        return np.linalg.eigh(_block(N, w, -(1.0 + epsilon), coeff_s))
-
-    lam_u, U_u = eigh(-1.0)
-    lam_d, U_d = eigh(+1.0)
-    rl = U_u.dtype.type
-    s = np.ones(N, dtype=rl) / np.sqrt(rl(N))
-    s_d = s @ U_d
-    # both operands row-contiguous: each element is the same ordered sum as
-    # in U_u.T @ U_d, but long double runs ~4x faster than on a column walk
-    Ud_T = np.ascontiguousarray(U_d.T)
-    del U_d
-    M = np.dot(np.ascontiguousarray(U_u.T), Ud_T.T)
-    del Ud_T
-    return _Factors(lam_u, lam_d, U_u, M, np.ascontiguousarray(M.T), s @ U_u, s_d)
-
-
-def _apply(U: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``U @ v`` for real ``U`` and contiguous complex ``v`` (a vector or an
-    (N, B) batch of columns) of matching precision, as one real dot on the
-    (N, 2B) (re, im) view of ``v``.
-
-    ``U`` is never recast to complex.  In long double the dot sums each
-    element in the same order as complex ``matmul``, whatever B is, so the
-    result is bit-identical to ``U.astype(v.dtype) @ v`` column by column;
-    in double it is one BLAS call.
-    """
-    re_im = v.view(U.dtype).reshape(v.shape[0], -1)
-    return np.dot(U, re_im).view(v.dtype).reshape(v.shape)
+def _evolve(psi: np.ndarray, K: np.ndarray, w: int) -> None:
+    """``psi <- exp(-i H_b dt) psi`` in place for each block b and case:
+    ``psi`` is (2, B, N) and ``K`` the matching (2, B, 2, 2) kernels."""
+    g = 1.0 / math.sqrt(psi.shape[-1])
+    u = np.stack([psi[..., w], g * psi.sum(-1)], axis=-1)  # Vᵀψ
+    delta = (K @ u[..., None])[..., 0]
+    psi += g * delta[..., 1:]
+    psi[..., w] += delta[..., 0]
 
 
 def _propagate(
@@ -166,63 +94,41 @@ def _propagate(
     w: int,
     params: Sequence[SearchParams],
     n_max: Optional[int],
-    extended: Optional[bool] = None,
     state_callback: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> list[RunRecord]:
-    """Run a batch of protocols that share (N, w, epsilon) in the block
-    eigenbases; returns one record per case.  ``state_callback`` sees case 0."""
+    """Run a batch of protocols that share (N, w, epsilon) in the full
+    space; returns one record per case.  ``state_callback`` sees case 0."""
     _check_target(N, w)
     n_max = params[0].step_count(n_max)
-    if extended is None:
-        extended = N <= EXTENDED_PRECISION_MAX_N
-    F = _block_propagator_factors(N, w, params[0].epsilon, extended)
-    rl = _LD if extended else np.float64
-    cdtype = _CLD if extended else np.complex128
     dt, theta0, dtheta = (
-        np.array([getattr(p, k) for p in params], dtype=rl)
-        for k in ("delta_t", "theta0", "delta_theta")
+        np.array([getattr(p, k) for p in params]) for k in ("delta_t", "theta0", "delta_theta")
     )
-    th = theta0 + np.arange(n_max + 1, dtype=rl)[:, None] * dtheta
-    cos_th, sin_th = np.cos(th), np.sin(th)
-    # a case whose ancilla never rotates (sin θ_j = 0 at every j >= 0) keeps
-    # y_d = 0 exactly, so both couplings would add exact zeros to it: the
-    # down block and the products run on the rotating columns r only
-    r = np.flatnonzero(np.any(sin_th != 0.0, axis=0))
-    cos_r, sin_r = cos_th[:, r], sin_th[:, r]
-    phase_u = np.exp(-1j * (F.lam_u[:, None] * dt)).astype(cdtype)
-    phase_d = np.exp(-1j * (F.lam_d[:, None] * dt[r])).astype(cdtype)
-    # eigen-coordinates y_u = U_uᵀ·up, one column per case, and y_d = U_dᵀ·dn,
-    # one column per rotating case
-    y_u = (F.s_u[:, None] * np.cos(theta0)).astype(cdtype)
-    y_d = (F.s_d[:, None] * np.sin(theta0[r])).astype(cdtype)
-    u_w = F.U_u[w]
-    ones = np.ones(N, dtype=rl)
+    K = _step_kernels(N, params[0].epsilon, dt)
+    th = theta0 + np.arange(n_max + 1)[:, None] * dtheta
+    cos_th, sin_th = np.cos(th)[..., None], np.sin(th)[..., None]
+    g = 1.0 / math.sqrt(N)
+    # (up, down) x case x database entry; both start along |s>
+    psi = np.empty((2, len(params), N), dtype=complex)
+    psi[0], psi[1] = cos_th[0] * g, sin_th[0] * g
 
     # per step and case: the raw fidelity and the success probability p
     fid = np.full((len(params), n_max + 1), 1.0 / N)
     p = np.ones((len(params), n_max + 1))
     for j in range(1, n_max + 1):
-        c, c_r, s = cos_th[j], cos_r[j], sin_r[j]
-        y_u *= phase_u
-        y_d *= phase_d
-        # the projected database state in the up and down eigenbases
-        z_u = c * y_u
-        z_u[:, r] += s * _apply(F.M, y_d)
-        z_d = c_r * _apply(F.MT, np.take(y_u, r, axis=1)) + s * y_d
-        # a dot per column sums in the same order for any batch width
-        p[:, j] = np.dot(ones, z_u.real * z_u.real + z_u.imag * z_u.imag)
-        norm = np.sqrt(np.where(p[:, j] == 0.0, 1.0, p[:, j]).astype(rl))
-        z_u /= norm
-        z_d /= norm[r]
-        amp = np.dot(u_w, z_u.view(rl).reshape(N, -1))  # <w|db>: re, im per case
-        fid[:, j] = amp[0::2] * amp[0::2] + amp[1::2] * amp[1::2]
-        y_u = c * z_u
-        y_d = s * z_d
+        _evolve(psi, K, w)
+        # project the ancilla: the database state, in place of the up block
+        db = psi[0]
+        db *= cos_th[j]
+        psi[1] *= sin_th[j]
+        db += psi[1]
+        p[:, j] = np.square(db.view(float)).sum(-1)
+        db /= np.sqrt(np.where(p[:, j] == 0.0, 1.0, p[:, j]))[:, None]
+        amp = db[:, w]
+        fid[:, j] = amp.real * amp.real + amp.imag * amp.imag
+        np.multiply(sin_th[j], db, out=psi[1])
+        db *= cos_th[j]
         if state_callback is not None and p[0, j] != 0.0:
-            up = _apply(F.U_u, y_u)[:, 0]
-            # case 0 is column 0 of y_d when it rotates, and has dn = 0 if not
-            dn = _apply(F.U_u, _apply(F.M, y_d))[:, 0] if 0 in r else np.zeros_like(up)
-            state_callback(j, np.concatenate([up, dn]).astype(complex))
+            state_callback(j, psi[:, 0].flatten())
     # survival is the running product of p, in step order
     return [
         RunRecord.from_series(q, f, np.cumprod(pq), pq == 0.0)
@@ -235,7 +141,6 @@ def simulate_full_protocol(
     w: int,
     params: SearchParams,
     n_max: Optional[int] = None,
-    extended: Optional[bool] = None,
     state_callback: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> RunRecord:
     """Run the protocol in the joint space: evolve by exp(-i H dt), project the
@@ -251,7 +156,7 @@ def simulate_full_protocol(
         raise ValueError(
             f"params.N={params.N!r} does not match the requested size N={N}"
         )
-    return _propagate(N, w, [params], n_max, extended, state_callback)[0]
+    return _propagate(N, w, [params], n_max, state_callback)[0]
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ __all__ = [
 
 #: survival probabilities below this are frozen to zero and flagged
 SURVIVAL_FLOOR = 1e-300
+#: steps of every full-space equivalence case unless it names its own
+EQUIVALENCE_STEPS = 200
 
 
 def overlap_x(N: float) -> float:

@@ -460,7 +460,22 @@ class TestVerify:
         assert err.startswith("error: ") and "'nope'" in err
 
     def test_oversized_request_is_config_error(self):
-        assert main(["verify", "--n", "8192"]) == 2
+        from zenogrover.fullspace import MAX_FULLSPACE_N
+
+        assert main(["verify", "--n", str(MAX_FULLSPACE_N + 1)]) == 2
+
+    def test_deep_damping_passes(self, capsys):
+        # survival falls far below 1e-30 over 700 steps at N = 4
+        assert main(["verify", "--n", "4", "--steps", "700"]) == 0
+        out = capsys.readouterr().out
+        assert "all cases passed" in out and "FAIL" not in out
+
+    def test_steps_help_names_the_default(self, capsys):
+        from zenogrover.fullspace import EQUIVALENCE_STEPS
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify", "--help"])
+        assert f"verify: {EQUIVALENCE_STEPS})" in " ".join(capsys.readouterr().out.split())
 
     def test_injected_fault_fails_in_worker_processes(self, capsys):
         rc = main([

@@ -2,23 +2,29 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from zenogrover import fullspace
 from zenogrover.fullspace import (
     EquivalenceCase,
-    _apply,
-    _block,
-    _block_propagator_factors,
     _check_target,
-    _eigh_refined,
+    _evolve,
     _propagate,
+    _step_kernels,
     default_equivalence_cases,
     equivalence_suite,
     make_case_params,
     simulate_full_protocol,
 )
 from zenogrover.model import SURVIVAL_FLOOR, grover_fidelity_closed_form, make_params
-from zenogrover.stroboscopic import accumulate_process
+from zenogrover.stroboscopic import accumulate_process, run_protocol
+
+
+def _block(N: int, w: int, coeff_w: float, coeff_s: float) -> np.ndarray:
+    s = np.full(N, 1.0 / math.sqrt(N))
+    H = coeff_s * np.outer(s, s)
+    H[w, w] += coeff_w
+    return H
 
 
 def build_full_hamiltonian(N: int, w: int, epsilon: float = 0.0) -> np.ndarray:
@@ -88,7 +94,7 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             build_full_hamiltonian(1, 0)
         with pytest.raises(ValueError):
-            build_full_hamiltonian(8192, 0)
+            build_full_hamiltonian(fullspace.MAX_FULLSPACE_N + 1, 0)
         with pytest.raises(ValueError):
             build_full_hamiltonian(8, 8)
 
@@ -128,21 +134,18 @@ class TestSimulate:
         assert record.survival[1] <= 4e-33
 
     @staticmethod
-    def _worst_leak(extended=None):
-        N = 32
-        params = make_params(float(N), math.pi + 0.2, delta_theta=0.01)
+    def _worst_leak(N=32, w=13, dt=math.pi + 0.2, dtheta=0.01, steps=150):
+        params = make_params(float(N), dt, delta_theta=dtheta, allow_short=True)
         worst = 0.0
         worst_norm = 0.0
 
         def watch(step, state):
             nonlocal worst, worst_norm
-            worst = max(worst, complement_weight(state, 13))
+            worst = max(worst, complement_weight(state, w))
             norm = float(np.vdot(state, state).real)
             worst_norm = max(worst_norm, abs(norm - 1.0))
 
-        simulate_full_protocol(
-            N, 13, params, n_max=150, extended=extended, state_callback=watch
-        )
+        simulate_full_protocol(N, w, params, n_max=steps, state_callback=watch)
         return worst, worst_norm
 
     def test_joint_state_stays_in_search_plane(self):
@@ -151,9 +154,24 @@ class TestSimulate:
         assert worst_norm < 1e-12
 
     def test_double_precision_state_stays_in_search_plane(self):
-        worst, worst_norm = self._worst_leak(extended=False)
+        # deep into the damping, survival far below 1e-30, the plane still
+        # holds in double precision
+        worst, worst_norm = self._worst_leak(N=4, w=2, dt=math.pi, dtheta=0.01, steps=700)
         assert worst < 1e-10
         assert worst_norm < 1e-12
+
+    def test_non_target_entries_stay_bitwise_equal(self):
+        N, w = 16, 5
+        params = make_params(float(N), math.pi + 0.2, delta_theta=0.01, epsilon=0.07)
+        spreads = []
+
+        def watch(step, state):
+            for part in (state[:N], state[N:]):
+                rest = np.delete(part, w)
+                spreads.append(np.count_nonzero(rest != rest[0]))
+
+        simulate_full_protocol(N, w, params, n_max=300, state_callback=watch)
+        assert len(spreads) == 600 and not any(spreads)
 
     def test_validation(self):
         params = make_params(16.0, 1.0)
@@ -164,38 +182,18 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_full_protocol(16, 1, params, n_max=0)
 
-    def test_double_precision_mode_still_close(self):
-        N = 16
-        params = make_params(float(N), 1.0, delta_theta=0.001)
-        a = simulate_full_protocol(N, 4, params, n_max=100, extended=True)
-        b = simulate_full_protocol(N, 4, params, n_max=100, extended=False)
-        assert np.max(np.abs(a.fidelity - b.fidelity)) < 1e-10
 
-
-def _reference_protocol(N, w, params, n_max, extended=True):
-    """The oracle loop this module used before the eigenbasis recurrence:
-    ``U diag(phase) Uᵀ`` applied to both ancilla components every step
-    (four long-double products).  The loop is kept verbatim as the
-    reference; returns (fidelity, survival, underflow)."""
-    factors = []
-    for coeff_s in (-1.0, +1.0):
-        if extended:
-            lam, U = _eigh_refined(N, w, -(1.0 + params.epsilon), coeff_s)
-        else:
-            lam, U = np.linalg.eigh(_block(N, w, -(1.0 + params.epsilon), coeff_s))
-        factors.append((lam, U, np.ascontiguousarray(U.T)))
-    (lam_u, U_u, UT_u), (lam_d, U_d, UT_d) = factors
-    cdtype = np.clongdouble if extended else np.complex128
-    rl = np.longdouble if extended else np.float64
-    dt = rl(params.delta_t)
-    phase_u = np.exp(-1j * (lam_u * dt)).astype(cdtype)
-    phase_d = np.exp(-1j * (lam_d * dt)).astype(cdtype)
-
-    s0 = (np.ones(N, dtype=rl) / np.sqrt(rl(N))).astype(cdtype)
-    theta0 = rl(params.theta0)
-    dtheta = rl(params.delta_theta)
-    up = np.cos(theta0) * s0
-    dn = np.sin(theta0) * s0
+def _reference_protocol(N, w, params, n_max):
+    """The protocol with dense propagators: ``scipy.linalg.expm`` of each
+    ancilla block of ``build_full_hamiltonian``, applied to both ancilla
+    components every step in double precision; returns (fidelity, survival,
+    underflow)."""
+    H = build_full_hamiltonian(N, w, params.epsilon)
+    E_u = scipy.linalg.expm(-1j * params.delta_t * H[:N, :N])
+    E_d = scipy.linalg.expm(-1j * params.delta_t * H[N:, N:])
+    s0 = np.full(N, 1.0 / math.sqrt(N), dtype=complex)
+    up = math.cos(params.theta0) * s0
+    dn = math.sin(params.theta0) * s0
 
     fid = np.empty(n_max + 1)
     sur = np.empty(n_max + 1)
@@ -205,10 +203,10 @@ def _reference_protocol(N, w, params, n_max, extended=True):
     survival = 1.0
 
     for j in range(1, n_max + 1):
-        up = _apply(U_u, phase_u * _apply(UT_u, up))
-        dn = _apply(U_d, phase_d * _apply(UT_d, dn))
-        th = theta0 + j * dtheta
-        cth, sth = np.cos(th), np.sin(th)
+        up = E_u @ up
+        dn = E_d @ dn
+        th = params.theta0 + j * params.delta_theta
+        cth, sth = math.cos(th), math.sin(th)
         db = cth * up + sth * dn
         p = float((db.conj() @ db).real)
         if p == 0.0:
@@ -223,7 +221,7 @@ def _reference_protocol(N, w, params, n_max, extended=True):
         if survival < SURVIVAL_FLOOR:
             underflow = True
             survival = 0.0
-        db = db / np.sqrt(rl(p))
+        db = db / math.sqrt(p)
         up = cth * db
         dn = sth * db
         fid[j] = float(abs(db[w]) ** 2)
@@ -250,23 +248,61 @@ REFERENCE_CASES = {
 }
 
 
-class TestAgainstFourProductLoop:
-    @pytest.mark.parametrize("extended", [True, False])
+class TestAgainstDenseExpm:
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     @pytest.mark.parametrize("N", [2, 16, 129])
-    def test_matches_reference(self, N, case, extended):
+    def test_matches_reference(self, N, case):
         dt, dth, eps, steps, theta0 = REFERENCE_CASES[case]
         w = N // 3
         params = make_params(float(N), dt, delta_theta=dth, theta0=theta0, epsilon=eps,
                              allow_short=True)
-        ref_f, ref_p, ref_underflow = _reference_protocol(N, w, params, steps, extended)
-        record = simulate_full_protocol(N, w, params, n_max=steps, extended=extended)
+        ref_f, ref_p, ref_underflow = _reference_protocol(N, w, params, steps)
+        record = simulate_full_protocol(N, w, params, n_max=steps)
         assert np.max(np.abs(record.fidelity - ref_f)) <= 1e-11
         assert np.max(np.abs(record.survival - ref_p)) <= 1e-11
         assert record.underflow == ref_underflow
         assert _first_zero(record.survival) == _first_zero(ref_p)
         if case in ("annihilation", "deep-damping"):
             assert ref_underflow
+
+
+class TestStep:
+    @pytest.mark.parametrize("dt", [1.0, math.pi + 0.2])
+    @pytest.mark.parametrize("eps", [0.0, 0.07])
+    @pytest.mark.parametrize("N", [2, 3, 16, 64])
+    def test_equals_dense_expm_on_every_vector(self, N, eps, dt):
+        # random complex vectors, with components outside span{|w>, |s>}
+        w = N // 3
+        rng = np.random.default_rng(N)
+        psi = rng.standard_normal((2, 3, N)) + 1j * rng.standard_normal((2, 3, N))
+        want = [
+            scipy.linalg.expm(-1j * dt * _block(N, w, -(1.0 + eps), sigma)) @ psi[b].T
+            for b, sigma in enumerate((-1.0, +1.0))
+        ]
+        _evolve(psi, _step_kernels(N, eps, np.full(3, dt)), w)
+        for b in range(2):
+            assert np.max(np.abs(psi[b].T - want[b])) <= 1e-13
+
+    def test_large_n_matches_exact_engine(self):
+        N = 100_000
+        params = make_params(float(N), k=1, tau=0.2, alpha=0.3)
+        assert params.n_G == 148
+        full = simulate_full_protocol(N, 12_345, params)
+        exact = run_protocol(params)
+        assert np.max(np.abs(full.fidelity - exact.fidelity)) <= 1e-12
+        assert np.max(np.abs(full.survival / exact.survival - 1.0)) <= 1e-11
+
+
+@pytest.mark.slow
+def test_ladder_a_through_the_full_space():
+    # the published ladder_a readout, without the 2x2 reduction: N = 1e6, 470 steps
+    params = make_params(1e6, k=1, tau=0.2, alpha=0.3)
+    full = simulate_full_protocol(1_000_000, 271_828, params)
+    exact = run_protocol(params)
+    assert abs(full.final_fidelity - 0.98) <= 0.01
+    assert abs(full.final_survival - 0.27) <= 0.02
+    assert np.max(np.abs(full.fidelity - exact.fidelity)) <= 1e-12
+    assert np.max(np.abs(full.survival / exact.survival - 1.0)) <= 1e-11
 
 
 class TestBatch:
@@ -281,7 +317,7 @@ class TestBatch:
             assert np.array_equal(record.fidelity, alone.fidelity)
             assert np.array_equal(record.survival, alone.survival)
 
-    @pytest.mark.parametrize("N", [16, 129])
+    @pytest.mark.parametrize("N", [16, 129, 20_000])
     def test_mixed_group_member_equals_single_run(self, N):
         # (theta0, dtheta): never rotating, theta0 only, dtheta only, both
         params = [
@@ -294,58 +330,6 @@ class TestBatch:
             alone = simulate_full_protocol(N, 5, p, n_max=120)
             assert np.array_equal(record.fidelity, alone.fidelity)
             assert np.array_equal(record.survival, alone.survival)
-
-    def test_products_skip_cases_whose_ancilla_never_rotates(self, monkeypatch):
-        # dtheta = 0 in 3 of the 9 cases of a default group: the couplings
-        # M·y_d and Mᵀ·y_u take the other 6 columns at every step
-        widths = []
-
-        def counting_apply(U, v):
-            widths.append(v.shape[1])
-            return _apply(U, v)
-
-        monkeypatch.setattr(fullspace, "_apply", counting_apply)
-        cases = default_equivalence_cases(sizes=(16,), steps=30)[:9]
-        assert sum(c.delta_theta == 0.0 for c in cases) == 3
-        _propagate(16, cases[0].w, [make_case_params(c) for c in cases], 30)
-        assert widths == [6] * (2 * 30)
-
-
-class TestApply:
-    @pytest.mark.parametrize("N", [2, 16, 129])
-    def test_long_double_is_bit_identical_to_complex_matmul(self, N):
-        rng = np.random.default_rng(N)
-        U = rng.standard_normal((N, N)).astype(np.longdouble)
-        for shape in ((N,), (N, 3)):
-            v = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
-                np.clongdouble
-            )
-            for M in (U, np.ascontiguousarray(U.T)):
-                assert np.array_equal(_apply(M, v), M.astype(np.clongdouble) @ v)
-
-    @pytest.mark.parametrize("N", [2, 16, 129])
-    def test_double_matches_complex_matmul(self, N):
-        rng = np.random.default_rng(N)
-        U = rng.standard_normal((N, N))
-        v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        for M in (U, np.ascontiguousarray(U.T)):
-            ref = M.astype(complex) @ v
-            got = _apply(M, v)
-            assert got.dtype == np.complex128
-            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("extended", [True, False])
-    def test_factors_cache_the_coupling(self, extended):
-        N, w, eps = 16, 3, 0.0
-        F = _block_propagator_factors(N, w, eps, extended)
-        assert F.M.flags.c_contiguous and F.MT.flags.c_contiguous
-        assert np.array_equal(F.MT, F.M.T)
-        if extended:
-            _, U_d = _eigh_refined(N, w, -(1.0 + eps), +1.0)
-        else:
-            _, U_d = np.linalg.eigh(_block(N, w, -(1.0 + eps), +1.0))
-        assert np.array_equal(F.M, F.U_u.T @ U_d)
-
 
 class TestEquivalenceSuite:
     def test_small_slice_passes(self):
