@@ -183,14 +183,27 @@ class TestSimulate:
             simulate_full_protocol(16, 1, params, n_max=0)
 
 
-def _reference_protocol(N, w, params, n_max):
-    """The protocol with dense propagators: ``scipy.linalg.expm`` of each
-    ancilla block of ``build_full_hamiltonian``, applied to both ancilla
+def _block_step(H_b, dt, dense):
+    """One step's propagator ``exp(-i H_b dt)`` of a dense block, as a
+    function of the state: the dense ``scipy.linalg.expm`` matrix, or the
+    products ``U diag(phase) Uᵀ`` of the block's ``numpy.linalg.eigh``."""
+    if dense:
+        E = scipy.linalg.expm(-1j * dt * H_b)
+        return lambda v: E @ v
+    lam, U = np.linalg.eigh(H_b)
+    UT = np.ascontiguousarray(U.T)
+    phase = np.exp(-1j * lam * dt)
+    return lambda v: U @ (phase * (UT @ v))
+
+
+def _reference_protocol(N, w, params, n_max, dense):
+    """The protocol with dense propagators of each ancilla block of
+    ``build_full_hamiltonian`` (see ``_block_step``), applied to both ancilla
     components every step in double precision; returns (fidelity, survival,
     underflow)."""
     H = build_full_hamiltonian(N, w, params.epsilon)
-    E_u = scipy.linalg.expm(-1j * params.delta_t * H[:N, :N])
-    E_d = scipy.linalg.expm(-1j * params.delta_t * H[N:, N:])
+    step_u = _block_step(H[:N, :N], params.delta_t, dense)
+    step_d = _block_step(H[N:, N:], params.delta_t, dense)
     s0 = np.full(N, 1.0 / math.sqrt(N), dtype=complex)
     up = math.cos(params.theta0) * s0
     dn = math.sin(params.theta0) * s0
@@ -203,8 +216,8 @@ def _reference_protocol(N, w, params, n_max):
     survival = 1.0
 
     for j in range(1, n_max + 1):
-        up = E_u @ up
-        dn = E_d @ dn
+        up = step_u(up)
+        dn = step_d(dn)
         th = params.theta0 + j * params.delta_theta
         cth, sth = math.cos(th), math.sin(th)
         db = cth * up + sth * dn
@@ -248,15 +261,20 @@ REFERENCE_CASES = {
 }
 
 
-class TestAgainstDenseExpm:
+class TestAgainstFourProductLoop:
+    """The oracle against the four-product loop ``U diag(phase) Uᵀ`` on both
+    ancilla components (``dense=False``) and against dense ``expm`` blocks
+    (``dense=True``)."""
+
+    @pytest.mark.parametrize("dense", [True, False])
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     @pytest.mark.parametrize("N", [2, 16, 129])
-    def test_matches_reference(self, N, case):
+    def test_matches_reference(self, N, case, dense):
         dt, dth, eps, steps, theta0 = REFERENCE_CASES[case]
         w = N // 3
         params = make_params(float(N), dt, delta_theta=dth, theta0=theta0, epsilon=eps,
                              allow_short=True)
-        ref_f, ref_p, ref_underflow = _reference_protocol(N, w, params, steps)
+        ref_f, ref_p, ref_underflow = _reference_protocol(N, w, params, steps, dense)
         record = simulate_full_protocol(N, w, params, n_max=steps)
         assert np.max(np.abs(record.fidelity - ref_f)) <= 1e-11
         assert np.max(np.abs(record.survival - ref_p)) <= 1e-11
@@ -330,6 +348,25 @@ class TestBatch:
             alone = simulate_full_protocol(N, 5, p, n_max=120)
             assert np.array_equal(record.fidelity, alone.fidelity)
             assert np.array_equal(record.survival, alone.survival)
+
+class TestApply:
+    @pytest.mark.parametrize("N", [2, 16, 129])
+    def test_double_matches_complex_matmul(self, N):
+        # the matrix-free step against the dense operator I + V K Vᵀ it applies
+        w = N // 3
+        rng = np.random.default_rng(N)
+        K = _step_kernels(N, 0.07, np.array([1.0, math.pi + 0.2]))
+        V = np.zeros((N, 2))
+        V[w, 0] = 1.0
+        V[:, 1] = 1.0 / math.sqrt(N)
+        psi = rng.standard_normal((2, 2, N)) + 1j * rng.standard_normal((2, 2, N))
+        want = [[(np.eye(N) + V @ K[b, c] @ V.T) @ psi[b, c] for c in range(2)]
+                for b in range(2)]
+        _evolve(psi, K, w)
+        assert psi.dtype == np.complex128
+        ref = np.array(want)
+        assert np.max(np.abs(psi - ref)) <= 1e-14 * np.max(np.abs(ref))
+
 
 class TestEquivalenceSuite:
     def test_small_slice_passes(self):
