@@ -7,8 +7,7 @@ Three complementary views of the same dynamics:
 * the continuous-time generator valid for small non-unitarity offset tau,
   whose anti-Hermitian part damps only the residual direction, integrated
   with a fourth-order commutator-free exponential scheme into one propagator
-  per protocol step, multiplied out by the stroboscopic chunked product kernel
-  (chunk prefixes joined by a power-of-two-normalised carry); and
+  per protocol step, a step source of the stroboscopic product kernel; and
 * the closed-form unitary approximation at tau = 0, where the fidelity is
   sin^2 of an accumulated rotation angle.
 
@@ -135,8 +134,8 @@ def _default_substeps(params: SearchParams) -> int:
 
 
 def _expm_symmetric(h00, h01, h11, h: float) -> np.ndarray:
-    """exp(-i h [[h00, h01], [h01, h11]]) for entry arrays of length K, as
-    shape (K, 2, 2).  With -i h H = a I + T, T traceless and T^2 = w^2 I,
+    """exp(-i h [[h00, h01], [h01, h11]]) for entry arrays of one shape S,
+    as shape (2, 2, *S).  With -i h H = a I + T, T traceless and T^2 = w^2 I,
     the exponential is e^a (cosh w I + sinh(w)/w T)."""
     a = -0.5j * h * (h00 + h11)
     t00 = -0.5j * h * (h00 - h11)
@@ -146,18 +145,18 @@ def _expm_symmetric(h00, h01, h11, h: float) -> np.ndarray:
     ch = ea * np.cosh(w)
     sh = ea * np.sinc(1j * w / math.pi)  # sinh(w)/w, exact at w = 0
     entries = [ch + sh * t00, sh * t01, sh * t01, ch - sh * t00]
-    return np.stack(entries, -1).reshape(-1, 2, 2)
+    return np.stack(entries).reshape(2, 2, *ch.shape)
 
 
 def _ordered_product(F: np.ndarray) -> np.ndarray:
-    """F[:, K-1] ... F[:, 1] F[:, 0] for factors of shape (steps, K, 2, 2),
+    """F[..., K-1] ... F[..., 1] F[..., 0] for factors of shape (2, 2, steps, K),
     multiplied out pairwise in ceil(log2 K) rounds."""
-    while F.shape[1] > 1:
-        even = 2 * (F.shape[1] // 2)
-        L, R = F[:, 1:even:2], F[:, 0:even:2]
-        LR = L[..., :1] * R[..., :1, :] + L[..., 1:] * R[..., 1:, :]
-        F = np.concatenate([LR, F[:, even:]], axis=1)
-    return F[:, 0]
+    while F.shape[-1] > 1:
+        even = 2 * (F.shape[-1] // 2)
+        L, R = F[..., 1:even:2], F[..., 0:even:2]
+        LR = L[:, :1] * R[:1] + L[:, 1:] * R[1:]
+        F = np.concatenate([LR, F[..., even:]], axis=-1)
+    return F[..., 0]
 
 
 #: substeps per block of step propagators that the effective engine builds
@@ -174,8 +173,7 @@ def _effective_source(params: SearchParams) -> stroboscopic.StepSource:
     with A = -iH at the Gauss nodes 1/2 -+ sqrt(3)/6 of the substep and
     w = 1/4 -+ sqrt(3)/6 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
     (2009); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)).  Steps
-    are built in blocks of max(1, _SUBSTEPS_PER_BLOCK // m) and written to
-    their slots of the kernel's chunk layout.
+    are built in blocks of max(1, _SUBSTEPS_PER_BLOCK // m).
     """
     m = _default_substeps(params)
     h = params.delta_t / m
@@ -183,10 +181,12 @@ def _effective_source(params: SearchParams) -> stroboscopic.StepSource:
     w1, w2 = 0.25 - r3, 0.25 + r3
     per_block = max(1, _SUBSTEPS_PER_BLOCK // m)
 
-    def fill(buf: np.ndarray, first: int, count: int) -> None:
-        for s in range(0, count, per_block):
-            slots = np.arange(s, min(s + per_block, count))
-            k = np.arange((first - 1 + slots[0]) * m, (first + slots[-1]) * m)
+    def fill(j: np.ndarray, out: np.ndarray) -> None:
+        shape = j.shape or (1,)  # a 0-d index array is one step
+        j, out = j.reshape(shape), out.reshape(2, 2, *shape)
+        for s in range(0, j.size, per_block):
+            at = np.unravel_index(np.arange(s, min(s + per_block, j.size)), shape)
+            k = (m * (j[at] - 1))[:, None] + np.arange(m)  # the substeps of each step
             (p1, q1), (p2, q2) = (
                 _generator(params, (k + c) * h) for c in (0.5 - r3, 0.5 + r3)
             )
@@ -194,9 +194,8 @@ def _effective_source(params: SearchParams) -> stroboscopic.StepSource:
                 _expm_symmetric(-0.5 * params.epsilon, u * p1 + v * p2, u * q1 + v * q2, h)
                 for u, v in ((w2, w1), (w1, w2))
             )
-            factors = np.stack([early, late], 1).reshape(slots.size, 2 * m, 2, 2)
-            chunk, i = np.divmod(slots, buf.shape[0])
-            buf[i, :, :, chunk] = _ordered_product(factors)
+            factors = np.stack([early, late], -1).reshape(2, 2, k.shape[0], 2 * m)
+            out[(...,) + at] = _ordered_product(factors)
 
     return fill
 

@@ -240,12 +240,8 @@ def _compare_group(cases: list[EquivalenceCase], engine: str) -> list[Equivalenc
 
 
 def make_case_params(case: EquivalenceCase) -> SearchParams:
-    # tiny-N cases may have delta_t beyond the search time; the suite always
-    # runs an explicit step budget, so a zero n_G is fine here
+    # tiny-N cases may have delta_t beyond the search time (n_G = 0); the
+    # suite always runs an explicit step budget
     return make_params(
-        float(case.N),
-        case.delta_t,
-        delta_theta=case.delta_theta,
-        epsilon=case.epsilon,
-        allow_short=True,
+        float(case.N), case.delta_t, delta_theta=case.delta_theta, epsilon=case.epsilon
     )

@@ -81,6 +81,9 @@ class SearchParams:
 
     def step_count(self, n: Optional[int] = None) -> int:
         """The number of steps every engine runs: ``n``, by default n_G."""
+        if n is None and self.n_G < 1:
+            raise ValueError(f"delta_t={self.delta_t!r} exceeds the search time "
+                             f"for N={self.N!r} (n_G < 1)")
         n = self.n_G if n is None else n
         if n < 1:
             raise ValueError(f"need at least one step, got {n}")
@@ -97,7 +100,6 @@ def make_params(
     alpha: Optional[float] = None,
     theta0: float = 0.0,
     epsilon: float = 0.0,
-    allow_short: bool = False,
 ) -> SearchParams:
     """Validate and assemble a :class:`SearchParams`.
 
@@ -105,12 +107,9 @@ def make_params(
     ``delta_t = pi*k + tau`` with integer ``k >= 1`` and ``|tau| < pi/2``.
     The ancilla rotation is given either directly (``delta_theta``) or through
     the dimensionless rate ``alpha`` via delta_theta = alpha * x * delta_t.
-    Every real-valued input must be finite.
-
-    ``allow_short`` admits processes whose step duration exceeds the search
-    time (n_G = 0); such parameter sets cannot use the default readout and are
-    only meaningful with an explicit step count (the verification suite runs
-    tiny databases through fixed step budgets this way).
+    Every real-valued input must be finite.  A step duration beyond the
+    search time leaves n_G = 0: such a process runs only an explicit step
+    count (see :meth:`SearchParams.step_count`).
     """
     for name, value in (
         ("N", N), ("delta_t", delta_t), ("tau", tau), ("delta_theta", delta_theta),
@@ -149,12 +148,6 @@ def make_params(
     else:
         dtheta = 0.0
 
-    n_G = grover_step_count(N, delta_t)
-    if n_G < 1 and not allow_short:
-        raise ValueError(
-            f"delta_t={delta_t!r} exceeds the search time for N={N!r} (n_G < 1)"
-        )
-
     return SearchParams(
         N=float(N),
         delta_t=float(delta_t),
@@ -165,22 +158,23 @@ def make_params(
         k=k_eff,
         tau=tau_eff,
         alpha=math.sqrt(N) * dtheta / delta_t,
-        n_G=n_G,
+        n_G=grover_step_count(N, delta_t),
     )
 
 
-def grover_fidelity_closed_form(t: float, N: float) -> float:
-    """Target fidelity of the uninterrupted continuous search at time t.
+def grover_fidelity_closed_form(t: float | np.ndarray, N: float) -> float | np.ndarray:
+    """Target fidelity of the uninterrupted continuous search at the time or
+    array of times t.
 
     f(t) = x^2 cos^2(x t) + sin^2(x t), periodic with period pi/x and bounded
     in [1/N, 1]; maxima sit at t = (pi/x)(1/2 + j).
     """
-    if t < 0:
+    if np.any(t < 0):
         raise ValueError(f"t must be non-negative, got {t!r}")
     if not N >= 2:
         raise ValueError(f"database size must satisfy N >= 2, got {N!r}")
     x = overlap_x(N)
-    return x * x * math.cos(x * t) ** 2 + math.sin(x * t) ** 2
+    return x * x * np.cos(x * t) ** 2 + np.sin(x * t) ** 2
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,7 @@ def scaled_process_check(plan: ScalePlan, alpha: float) -> ScaledCheckReport:
     realize the time scaling t2 = t1 sqrt(N2/N1)) up to the earlier readout."""
     p1 = make_params(plan.N1, k=plan.k1, tau=plan.tau, alpha=alpha)
     p2 = make_params(float(plan.N2), k=plan.k2, tau=plan.tau, alpha=alpha)
-    n = min(p1.n_G, p2.n_G)
+    n = min(p1.step_count(), p2.step_count())
     r1 = run_protocol(p1, n)
     r2 = run_protocol(p2, n)
     return ScaledCheckReport(

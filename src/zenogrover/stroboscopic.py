@@ -23,19 +23,16 @@ ordered product V(n) = V_n ... V_1 and reads from it the survival probability
 distance of the accumulated operator.
 
 One numpy kernel, :func:`_scan`, multiplies out the steps of every 2x2 engine;
-the effective engine feeds it its own step propagators.  Inside chunks of
-_CHUNK steps aligned to the step index, prefix products take _CHUNK - 1 rounds
-vectorised across the chunks (Blelloch, "Prefix sums and their applications",
-1990); a carry, the product of all earlier chunks, joins them.  Each product
-is a matrix rescaled by a power of two, which is exact, plus an integer
-exponent, so deep damping cannot underflow.
-
-The kernel holds one step buffer per run, of shape (_CHUNK, 2, 2, c) for
-batches of c <= _BLOCK_STEPS / _CHUNK chunks, in chunk layout: slot [i, :, :, c'] holds the
-step i of chunk c'.  An engine's step source writes each batch of steps
-straight into it, and the prefix products, then their products with the
-carry, overwrite it in place; identity steps pad the last chunk.  So a run
-holds at most _BLOCK_STEPS step entries, whatever its length.
+the effective engine feeds it its own step propagators.  An engine enters
+through its step source, ``fill(j, out)``, which writes V_j for every index of
+an integer array j into ``out`` of shape (2, 2, *j.shape).  Inside chunks of
+_CHUNK steps, prefix products take _CHUNK - 1 rounds vectorised across the
+chunks (Blelloch, "Prefix sums and their applications", 1990); a carry, the
+product of all earlier chunks, joins them.  Each product is a matrix rescaled
+by a power of two, which is exact, plus an integer exponent, so deep damping
+cannot underflow.  The kernel holds one step buffer of at most _BLOCK_STEPS
+steps per run, which the sources write and the products overwrite in place,
+so memory does not grow with the run length.
 """
 
 from __future__ import annotations
@@ -143,25 +140,23 @@ _CHUNK = 64
 #: step buffer holds that many steps, which bounds memory for any n
 _BLOCK_STEPS = 1 << 14
 
-#: a step source: ``fill(buf, first, count)`` writes V_first, ...,
-#: V_{first+count-1} into the first ``count`` slots of a kernel buffer
-StepSource = Callable[[np.ndarray, int, int], None]
+#: a step source: ``fill(j, out)`` writes V_j for every index of the integer
+#: array j into ``out`` of shape (2, 2, *j.shape)
+StepSource = Callable[[np.ndarray, np.ndarray], None]
 
 
 def _step_source(params: SearchParams, engine: str) -> StepSource:
     """The cycle operators V_j = cos(dtheta) (P+Q)/2 + cos(phi_j) (P-Q)/2 of
-    ``engine``; a buffer of c chunks gets steps first, ..., first + c*_CHUNK - 1
-    in every slot, and the kernel pads over those past ``count``."""
+    ``engine``, as a step source."""
     P, Q = _engine_matrices(params, engine)
-    mean = ((0.5 * math.cos(params.delta_theta)) * (P + Q)).reshape(1, 2, 2, 1)
-    half = (0.5 * (P - Q)).reshape(1, 2, 2, 1)
+    mean = (0.5 * math.cos(params.delta_theta)) * (P + Q)
+    half = 0.5 * (P - Q)
 
-    def fill(buf: np.ndarray, first: int, count: int) -> None:
-        L, c = buf.shape[0], buf.shape[-1]
-        j = np.arange(first, first + L * c).reshape(c, L).T  # step of slot [i, c']
+    def fill(j: np.ndarray, out: np.ndarray) -> None:
         phi = 2.0 * params.theta0 + (2 * j - 1) * params.delta_theta
-        np.multiply(half, np.cos(phi)[:, None, None, :], out=buf)
-        np.add(mean, buf, out=buf)
+        shape = (2, 2) + (1,) * j.ndim
+        np.multiply(half.reshape(shape), np.cos(phi), out=out)
+        np.add(mean.reshape(shape), out, out=out)
 
     return fill
 
@@ -169,9 +164,9 @@ def _step_source(params: SearchParams, engine: str) -> StepSource:
 def _step_operator(j: int, params: SearchParams, engine: str) -> np.ndarray:
     if j < 1:
         raise ValueError(f"step index must be >= 1, got {j}")
-    V = np.empty((1, 2, 2, 1), dtype=complex)
-    _step_source(params, engine)(V, j, 1)
-    return V.reshape(2, 2)
+    V = np.empty((2, 2), dtype=complex)
+    _step_source(params, engine)(np.array(j), V)
+    return V
 
 
 def exact_step_operator(j: int, params: SearchParams) -> np.ndarray:
@@ -234,28 +229,33 @@ def _times_carry(M: np.ndarray, K: np.ndarray, t0: np.ndarray, t1: np.ndarray) -
 
 def _scan(fill: StepSource, n: int, record: bool) -> Iterator[tuple]:
     """The product kernel of every 2x2 engine, over the steps 1, ..., n that
-    ``fill`` writes.  For each batch of c chunks, yield V(j) = W 2^g (W of
-    shape (i, 2, 2, c), g of shape (i, c)) after every step (i = _CHUNK) if
-    ``record``, else after each chunk (i = 1).  W is a view of the step
+    ``fill`` writes.  For each batch of c chunks, yield V(j) = W 2^g, W of
+    shape (2, 2, c, i) and g of shape (c, i), after every step (i = _CHUNK)
+    if ``record``, else after each chunk (i = 1); the trailing axes flatten,
+    in C order, to step order, padded past n.  W is a view of the step
     buffer, valid until the next batch is drawn.
 
-    The prefix products inside the chunks take _CHUNK - 1 rounds vectorised
-    across the chunks.  The carry k 2^b, the product of all earlier chunks,
-    passes from chunk to chunk and multiplies the prefixes in place."""
+    The buffer M holds step j of the batch at M[i, :, :, c'], j = first +
+    _CHUNK c' + i; the prefix products inside the chunks take _CHUNK - 1
+    rounds vectorised across the chunks.  The carry k 2^b, the product of
+    all earlier chunks, passes from chunk to chunk and multiplies the
+    prefixes in place."""
     k0, k1, k2, k3, b = 1.0 + 0j, 0j, 0j, 1.0 + 0j, 0
     width = _CHUNK * min(max(1, _BLOCK_STEPS // _CHUNK), -(-n // _CHUNK))
     buf = np.empty(4 * width, dtype=complex)
     rows = _CHUNK if record else 1
     scratch = np.empty((2, rows * (width // _CHUNK)), dtype=complex)
     for first in range(1, n + 1, width):
-        count = min(width, n + 1 - first)
-        c = -(-count // _CHUNK)
+        whole, part = divmod(min(width, n + 1 - first), _CHUNK)
+        c = whole + (part > 0)
         # M[i] holds the step entries V_i, then the prefix that ends there
         M = buf[: 4 * _CHUNK * c].reshape(_CHUNK, 2, 2, c)
-        fill(M, first, count)
-        pad = _CHUNK * c - count
-        if pad:  # identity steps, which multiply exactly
-            M[-pad:, :, :, -1] = np.eye(2)
+        j = np.arange(first, first + _CHUNK * c).reshape(c, _CHUNK).T
+        steps = M.transpose(1, 2, 0, 3)
+        fill(j[:, :whole], steps[..., :whole])
+        if part:  # a short last chunk, padded with identities, which multiply exactly
+            fill(j[:part, whole], steps[:, :, :part, whole])
+            M[part:, :, :, whole] = np.eye(2)
         E = np.zeros((_CHUNK, c), dtype=np.int64)
         for i in range(1, _CHUNK):
             m = np.add(M[i, :, :1] * M[i - 1, :1], M[i, :, 1:] * M[i - 1, 1:], out=M[i])
@@ -276,7 +276,7 @@ def _scan(fill: StepSource, n: int, record: bool) -> Iterator[tuple]:
         K = np.array(K).T.reshape(2, 2, -1)
         M, E = (M, E) if record else (M[-1:], E[-1:])
         _times_carry(M, K, *scratch[:, : rows * c].reshape(2, rows, c))
-        yield M, E + np.array(B)
+        yield M.transpose(1, 2, 3, 0), (E + np.array(B)).T
 
 
 def _sq(z: np.ndarray) -> np.ndarray:
@@ -286,7 +286,7 @@ def _sq(z: np.ndarray) -> np.ndarray:
 
 def _distance(W: np.ndarray, g: np.ndarray) -> np.ndarray:
     """1 - ||V||_F^2 / 2 for V = W 2^g as yielded by :func:`_scan`."""
-    frob = (_sq(W[:, 0, 0]) + _sq(W[:, 0, 1])) + (_sq(W[:, 1, 0]) + _sq(W[:, 1, 1]))
+    frob = (_sq(W[0, 0]) + _sq(W[0, 1])) + (_sq(W[1, 0]) + _sq(W[1, 1]))
     return 1.0 - 0.5 * np.ldexp(frob, 2 * g)
 
 
@@ -306,15 +306,15 @@ def _propagate(
         for W, g in _scan(fill, n, record=True):
             k = min(g.size, n + 1 - j)
             if distance:
-                dist[j : j + k] = _distance(W, g).T.ravel()[:k]
+                dist[j : j + k] = _distance(W, g).ravel()[:k]
             # the squared moduli of the two entries of V(j)|s>
-            amp0 = _sq(W[:, 0, 0] * x + W[:, 0, 1] * r)
-            norm = amp0 + _sq(W[:, 1, 0] * x + W[:, 1, 1] * r)
-            sur[j : j + k] = np.ldexp(norm, 2 * g).T.ravel()[:k]
-            fid[j : j + k] = (amp0 / norm).T.ravel()[:k]  # nan: annihilated
+            amp0 = _sq(W[0, 0] * x + W[0, 1] * r)
+            norm = amp0 + _sq(W[1, 0] * x + W[1, 1] * r)
+            sur[j : j + k] = np.ldexp(norm, 2 * g).ravel()[:k]
+            fid[j : j + k] = (amp0 / norm).ravel()[:k]  # nan: annihilated
             j += k
-    c, i = divmod(k - 1, _CHUNK)  # step n is step i of chunk c of the last batch
-    V = W[i, :, :, c] * np.ldexp(1.0, g[i, c])
+    last = np.unravel_index(k - 1, g.shape)  # step n
+    V = W[(...,) + last] * np.ldexp(1.0, g[last])
     record = RunRecord.from_series(
         params, fid, sur, np.isnan(fid), dist if distance else None
     )
@@ -336,5 +336,5 @@ def final_distance(params: SearchParams, n: Optional[int] = None) -> float:
     """
     n = params.step_count(n)
     for W, g in _scan(_step_source(params, "exact"), n, record=False):
-        pass  # the last chunk of the last batch ends at step n
-    return float(_distance(W[..., -1:], g[..., -1:])[0, 0])
+        pass  # the last product of the last batch is V(n)
+    return float(_distance(W[..., -1:, -1:], g[-1:, -1:])[0, 0])

@@ -90,6 +90,20 @@ class TestRun:
         assert out.read_bytes() == first
         assert out.with_name(out.name + ".meta.json").read_bytes() == first_meta
 
+    def test_dt_beyond_search_time_exits_2(self, tmp_path, capsys):
+        # pi*sqrt(4)/2 ~ 3.14 leaves no whole step of dt = 10 for the readout
+        assert main(["run", "--n", "4", "--dt", "10", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: delta_t=10.0 exceeds the search time for N=4.0 (n_G < 1)\n"
+        )
+
+    def test_dt_beyond_search_time_runs_explicit_steps(self, tmp_path):
+        out = tmp_path / "short.csv"
+        assert main(["run", "--n", "4", "--dt", "10", "--steps", "5", "--out", str(out)]) == 0
+        _, cols = read_table(out)
+        assert cols["n"] == ["0", "1", "2", "3", "4", "5"]
+        assert sidecar(out)["summary"]["n_G"] == 0
+
     def test_config_errors_exit_2(self, tmp_path):
         assert main(["run", "--n", "1e6", "--out", str(tmp_path / "x.csv")]) == 2
         assert main(["run", "--dt", "1.0"]) == 2

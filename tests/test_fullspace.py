@@ -135,7 +135,7 @@ class TestSimulate:
 
     @staticmethod
     def _worst_leak(N=32, w=13, dt=math.pi + 0.2, dtheta=0.01, steps=150):
-        params = make_params(float(N), dt, delta_theta=dtheta, allow_short=True)
+        params = make_params(float(N), dt, delta_theta=dtheta)
         worst = 0.0
         worst_norm = 0.0
 
@@ -272,8 +272,7 @@ class TestAgainstFourProductLoop:
     def test_matches_reference(self, N, case, dense):
         dt, dth, eps, steps, theta0 = REFERENCE_CASES[case]
         w = N // 3
-        params = make_params(float(N), dt, delta_theta=dth, theta0=theta0, epsilon=eps,
-                             allow_short=True)
+        params = make_params(float(N), dt, delta_theta=dth, theta0=theta0, epsilon=eps)
         ref_f, ref_p, ref_underflow = _reference_protocol(N, w, params, steps, dense)
         record = simulate_full_protocol(N, w, params, n_max=steps)
         assert np.max(np.abs(record.fidelity - ref_f)) <= 1e-11
@@ -339,7 +338,7 @@ class TestBatch:
     def test_mixed_group_member_equals_single_run(self, N):
         # (theta0, dtheta): never rotating, theta0 only, dtheta only, both
         params = [
-            make_params(float(N), dt, delta_theta=dth, theta0=theta0, allow_short=True)
+            make_params(float(N), dt, delta_theta=dth, theta0=theta0)
             for dt in (1.0, math.pi + 0.2)
             for theta0, dth in ((0.0, 0.0), (0.3, 0.0), (0.0, 0.01), (0.3, 0.01))
         ]

@@ -40,9 +40,13 @@ class TestMakeParams:
             make_params(100.0, -1.0)
 
     def test_rejects_dt_beyond_search_time(self):
-        # pi*sqrt(N)/2 ~ 15.7 for N=100; dt=20 leaves no whole step
-        with pytest.raises(ValueError):
-            make_params(100.0, 20.0)
+        # pi*sqrt(N)/2 ~ 15.7 for N=100; dt=20 leaves no whole step for the
+        # default readout, but an explicit step count still runs
+        p = make_params(100.0, 20.0)
+        assert p.n_G == 0
+        with pytest.raises(ValueError, match="exceeds the search time"):
+            p.step_count()
+        assert p.step_count(3) == 3
 
     def test_rejects_conflicting_arguments(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -115,12 +114,11 @@ def _sequential_propagate(params, entries, n):
 
 
 def _entries(fill, n):
-    """Entries (v00, v01, v10, v11) of V_1, ..., V_n as an (n, 4) array, read
-    in step order from one kernel buffer that the step source ``fill`` wrote."""
-    L = stroboscopic._CHUNK
-    buf = np.empty((L, 2, 2, -(-n // L)), dtype=complex)
-    fill(buf, 1, n)
-    return buf.transpose(3, 0, 1, 2).reshape(-1, 4)[:n]
+    """Entries (v00, v01, v10, v11) of V_1, ..., V_n as an (n, 4) array, as
+    the step source ``fill`` writes them for the index array 1, ..., n."""
+    out = np.empty((2, 2, n), dtype=complex)
+    fill(np.arange(1, n + 1), out)
+    return out.reshape(4, n).T
 
 
 def _steps_case(N, n=None, engine="exact", **kwargs):
@@ -138,11 +136,9 @@ def _zero_step_case():
     n = 200
     exact = stroboscopic._step_source(p, "exact")
 
-    def fill(buf, first, count):
-        exact(buf, first, count)
-        chunk, i = divmod(70 - first, buf.shape[0])
-        if 0 <= chunk < buf.shape[-1]:
-            buf[i, :, :, chunk] = 0.0
+    def fill(j, out):
+        exact(j, out)
+        out[:, :, j == 70] = 0.0
 
     return p, n, lambda: fill
 
@@ -174,9 +170,10 @@ class TestKernelMatchesSequentialLoop:
     @pytest.mark.parametrize("case", list(_KERNEL_CASES))
     def test_record_matches_reference(self, case, monkeypatch):
         if case in ("sweep_dt_pi", "exact_zero_step"):
-            # batches of 3 chunks: the carry crosses many batches and the last
-            # batch is shorter; batches of 1 chunk put step 70 in the second
-            steps = 3 * stroboscopic._CHUNK if case == "sweep_dt_pi" else 40
+            # batches of 3 chunks of 64 steps: the carry crosses many batches
+            # and the last batch is shorter; batches of 1 chunk put step 70 in
+            # the second
+            steps = 3 * 64 if case == "sweep_dt_pi" else 40
             monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", steps)
         p, n, source = _KERNEL_CASES[case]()
         V, got = stroboscopic._propagate(p, source(), n)
@@ -207,28 +204,37 @@ class TestKernelMatchesSequentialLoop:
         assert np.array_equal(M, ref)
 
 
-class TestStepSource:
-    @pytest.mark.parametrize("engine", ["exact", "approx"])
-    def test_writes_chunk_layout(self, engine):
-        # slot [i, :, :, c] of a buffer of 3 chunks holds V_{first + 64 c + i}
-        p = make_params(1e6, math.pi + 0.2, delta_theta=0.013, theta0=0.3)
-        step = exact_step_operator if engine == "exact" else approx_step_operator
-        buf = np.empty((stroboscopic._CHUNK, 2, 2, 3), dtype=complex)
-        stroboscopic._step_source(p, engine)(buf, 101, buf.size // 4)
-        for c, i in itertools.product(range(3), (0, 1, 37, 63)):
-            j = 101 + stroboscopic._CHUNK * c + i
-            assert np.array_equal(buf[i, :, :, c], step(j, p))
+def _lone_step(source, j):
+    V = np.empty((2, 2), dtype=complex)
+    source(np.array(j), V)
+    return V
 
-    def test_effective_writes_chunk_layout(self):
-        # blocks of 3 steps straddle the chunks; every slot equals a lone step
-        p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
-        buf = np.empty((stroboscopic._CHUNK, 2, 2, 2), dtype=complex)
-        effective._effective_source(p)(buf, 65, 100)
-        lone = np.empty((1, 2, 2, 1), dtype=complex)
-        for slot in (0, 1, 2, 63, 64, 65, 99):
-            c, i = divmod(slot, stroboscopic._CHUNK)
-            effective._effective_source(p)(lone, 65 + slot, 1)
-            assert np.array_equal(buf[i, :, :, c], lone[0, :, :, 0])
+
+class TestStepSource:
+    @pytest.mark.parametrize("engine", ["exact", "approx", "hdown-sign", "effective"])
+    def test_writes_every_index(self, engine, monkeypatch):
+        # V_j for 0-d, 1-d and 2-d index arrays, in any order and into a
+        # non-contiguous out; effective blocks of 3 steps (11 substeps each)
+        # split the 1-d and 2-d arrays
+        monkeypatch.setattr(effective, "_SUBSTEPS_PER_BLOCK", 33)
+        p = make_params(1e6, k=1, tau=0.2, alpha=0.3, theta0=0.3)
+        if engine == "effective":
+            source = effective._effective_source(p)
+        else:
+            source = stroboscopic._step_source(p, engine)
+        step = {"exact": exact_step_operator, "approx": approx_step_operator}.get(
+            engine, lambda j, p: _lone_step(source, j)
+        )
+        for j in (np.array(101), np.array([7, 1, 300, 2, 65]),
+                  np.arange(101, 113).reshape(3, 4).T):
+            out = np.moveaxis(np.empty((*j.shape, 2, 2), dtype=complex), (-2, -1), (0, 1))
+            source(j, out)
+            for at in np.ndindex(j.shape):
+                assert np.array_equal(out[(...,) + at], step(int(j[at]), p))
+        if engine == "hdown-sign":
+            # Q = P: every step is the up-block propagator scaled by cos(dtheta)
+            P = expm_2x2_hermitian(subspace_basis_matrices(p)[0], p.delta_t)
+            np.testing.assert_allclose(step(5, p), math.cos(p.delta_theta) * P, atol=1e-15)
 
 
 class TestBlockMatrices:
