@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import math
@@ -32,7 +33,7 @@ from .model import (
     make_params,
     parallel_map,
 )
-from .stroboscopic import FAULTS, final_distance, run_protocol
+from .stroboscopic import ENGINES, FAULTS, final_distance, run_protocol
 
 # every command runs the modules above; the effective engine, the full-space
 # oracle and the scaling planner are imported inside the commands that call
@@ -123,19 +124,20 @@ _ROWS_PER_WRITE = 1 << 16
 
 def _column(values: Sequence) -> tuple[str, Sequence]:
     """One table column as the %-format of its cells and the values it
-    formats: ``%d`` for ints, ``%.17g`` for floats, and the text of
-    :func:`_fmt` (true/false) for any other column."""
-    if isinstance(values, np.ndarray):
-        kind = values.dtype.kind
-    else:
-        values = [v.item() if isinstance(v, np.generic) else v for v in values]
-        kinds = set(map(type, values))
-        kind = "i" if kinds == {int} else "f" if kinds == {float} else "O"
+    formats, by the kind of its numpy dtype: ``%d`` for ints, ``%.17g`` for
+    floats, and the text of :func:`_fmt` (true/false) for any other column,
+    such as ints beyond int64, which numpy holds as objects."""
+    array = np.asarray(values)
+    if array is not values and array.dtype.kind == "f" and any(
+        isinstance(v, (int, np.integer)) for v in values
+    ):  # ints that no int dtype holds together, such as -1 and 2**63, stay exact
+        array = np.asarray(values, dtype=object)
+    kind = array.dtype.kind
     if kind in "iu":
-        return "%d", values
+        return "%d", array
     if kind == "f":
-        return "%.17g", values
-    return "%s", [_fmt(v) for v in values]
+        return "%.17g", array
+    return "%s", [_fmt(v) for v in array]
 
 
 def _write_table(
@@ -176,14 +178,7 @@ def _write_table(
 def cmd_run(config: RunConfig) -> int:
     """One trajectory: columns n, t, f, P, d."""
     params = config.build_params()
-    if config.engine in ("exact", "approx"):
-        record = run_protocol(params, config.steps, engine=config.engine)
-    elif config.engine == "effective":
-        from .effective import integrate_effective
-
-        record = integrate_effective(params, config.steps)
-    else:
-        raise ConfigError(f"unknown engine {config.engine!r}")
+    record = run_protocol(params, config.steps, engine=config.engine)
     summary = {
         "n_G": params.n_G,
         "final_fidelity": record.final_fidelity,
@@ -399,11 +394,11 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_eff_compare(config: RunConfig) -> int:
     """Aligned fidelity series from the exact, continuous-effective, and
     closed-form engines, with pairwise max deviations."""
-    from .effective import integrate_effective, unitary_approx_fidelity
+    from .effective import unitary_approx_fidelity
 
     params = config.build_params()
     exact = run_protocol(params, config.steps)
-    eff = integrate_effective(params, config.steps)
+    eff = run_protocol(params, config.steps, engine="effective")
     f_eq11 = np.array([unitary_approx_fidelity(int(m), params) for m in exact.steps])
     f_exact, f_eff = exact.fidelity, eff.fidelity
     summary = {
@@ -453,7 +448,7 @@ _FLAGS = {
     "eps": ("epsilon", dict(type=float, help="target-term detuning")),
     "steps": ("steps", dict(
         type=int, help=f"step count (default n_G; verify: {EQUIVALENCE_STEPS})")),
-    "engine": ("engine", dict(choices=("exact", "approx", "effective"))),
+    "engine": ("engine", dict(choices=ENGINES)),
     "grid": ("grid", dict(type=_parse_grid, metavar="LO:HI:COUNT",
                           help="sweep grid: dt for sweep-dt, eps/x for sweep-eps")),
     "nr": ("N_requested", dict(type=float, help="requested database size")),
@@ -501,12 +496,16 @@ _OUT_OPTIONAL = ("plan-scale", "verify")
 def run_config(config: RunConfig) -> int:
     """Dispatch a resolved config; returns the process exit code.  The
     output directory is made before the command runs, so an output path
-    whose directory cannot be made exits 2 before any work is done."""
+    whose directory cannot be made, or that names a directory, exits 2
+    before any work is done."""
     try:
         if config.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {config.jobs}")
         if config.out is not None or config.mode not in _OUT_OPTIONAL:
-            _resolve_out(config).parent.mkdir(parents=True, exist_ok=True)
+            path = _resolve_out(config)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if path.is_dir():  # the message that opening it would give
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         return _COMMANDS[config.mode][0](config)
     except (ConfigError, ValueError, OSError, MemoryError) as exc:
         # MemoryError: a step count too large to record, e.g. N = 1e30 at k = 1

@@ -7,7 +7,8 @@ Three complementary views of the same dynamics:
 * the continuous-time generator valid for small non-unitarity offset tau,
   whose anti-Hermitian part damps only the residual direction, integrated
   with a fourth-order commutator-free exponential scheme into one propagator
-  per protocol step, a step source of the stroboscopic product kernel; and
+  per protocol step: the step source of the ``effective`` engine, which
+  ``stroboscopic.run_protocol`` runs like any other 2x2 engine; and
 * the closed-form unitary approximation at tau = 0, where the fidelity is
   sin^2 of an accumulated rotation angle.
 
@@ -25,8 +26,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import stroboscopic
 from .model import DampedTwoLevelModel, RunRecord, SearchParams
+from .stroboscopic import StepSource, run_protocol
 
 __all__ = [
     "EffectiveHamiltonian",
@@ -164,7 +165,7 @@ def _ordered_product(F: np.ndarray) -> np.ndarray:
 _SUBSTEPS_PER_BLOCK = 4096
 
 
-def _effective_source(params: SearchParams) -> stroboscopic.StepSource:
+def _effective_source(params: SearchParams) -> StepSource:
     """The propagators of the protocol steps under the continuous generator,
     as a step source of the stroboscopic product kernel.
 
@@ -201,17 +202,11 @@ def _effective_source(params: SearchParams) -> stroboscopic.StepSource:
 
 
 def integrate_effective(params: SearchParams, n_max: Optional[int] = None) -> RunRecord:
-    """Propagate |s> under the continuous generator and record f and P at
-    every protocol step up to n_max (default: the search step count n_G).
-
-    The step propagators come from :func:`_effective_source` and run through
-    the same product kernel and record rule as the stroboscopic engines, so
-    survival is the squared norm of the propagated state and fidelity comes
-    from its direction.  The engine tracks no unitarity distance; that column
-    is NaN.
-    """
-    n = params.step_count(n_max)
-    return stroboscopic._propagate(params, _effective_source(params), n, distance=False)[1]
+    """Propagate |s> under the continuous generator and record f, P and d at
+    every protocol step up to n_max (default: the search step count n_G):
+    the ``effective`` engine of :func:`stroboscopic.run_protocol`, whose steps
+    come from :func:`_effective_source`."""
+    return run_protocol(params, n_max, engine="effective")
 
 
 def unitary_approx_fidelity(n: int, params: SearchParams) -> float:

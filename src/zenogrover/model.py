@@ -183,7 +183,8 @@ class RunRecord:
 
     Column arrays share index; row 0 is the initial state (survival 1,
     fidelity 1/N).  ``distance`` is the unitarity distance of the accumulated
-    operator where the producing engine tracks one, NaN otherwise.
+    operator for every 2x2 engine, and NaN for the full-space oracle, which
+    tracks none.
     """
 
     params: SearchParams
@@ -210,7 +211,7 @@ class RunRecord:
         state was projected out exactly) or falls below SURVIVAL_FLOOR, and
         such a run is flagged ``underflow``.  An annihilated step has no
         direction to read, so fidelity holds its last value over it.
-        ``distance`` defaults to NaN for engines that track none.
+        ``distance`` defaults to NaN, for the full-space oracle.
         """
         steps = np.arange(len(survival))
         dead = annihilated | (survival < SURVIVAL_FLOOR)

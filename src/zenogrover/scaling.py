@@ -198,18 +198,18 @@ class QualityReport:
         return self.f_nu * self.P_nu
 
 
-def _quality_point(args: tuple) -> QualityReport:
-    (N, delta_t, delta_theta, theta0, ratio) = args
-    x = overlap_x(N)
+def _quality_point(item: tuple[SearchParams, float]) -> QualityReport:
+    base, ratio = item
+    x = base.x
     eps = ratio * x
     params = make_params(
-        N, delta_t, delta_theta=delta_theta, theta0=theta0, epsilon=eps
+        base.N, base.delta_t, delta_theta=base.delta_theta, theta0=base.theta0, epsilon=eps
     )
     record = run_protocol(params)
     f_nu = record.final_fidelity
     P_nu = record.final_survival
     T0 = math.pi / (2.0 * x)
-    f_G = detuned_fidelity_analytic(T0, N, eps)
+    f_G = detuned_fidelity_analytic(T0, base.N, eps)
     divergent = f_G < QUALITY_FLOOR
     Q = math.inf if divergent else f_nu * P_nu / f_G
     success_nu = f_nu * P_nu
@@ -237,14 +237,5 @@ def quality_factor_sweep(
     (so the sweep shape is size-independent).  Points are independent; with
     ``jobs > 1`` they are fanned out to worker processes, and the output order
     always follows the input grid."""
-    work = [
-        (
-            params_base.N,
-            params_base.delta_t,
-            params_base.delta_theta,
-            params_base.theta0,
-            float(r),
-        )
-        for r in eps_over_x
-    ]
+    work = [(params_base, float(r)) for r in eps_over_x]
     return parallel_map(_quality_point, work, jobs)

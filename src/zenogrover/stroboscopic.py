@@ -22,10 +22,12 @@ ordered product V(n) = V_n ... V_1 and reads from it the survival probability
 ||V(n)|s>||^2, the fidelity (from the direction of V(n)|s>) and the unitarity
 distance of the accumulated operator.
 
-One numpy kernel, :func:`_scan`, multiplies out the steps of every 2x2 engine;
-the effective engine feeds it its own step propagators.  An engine enters
-through its step source, ``fill(j, out)``, which writes V_j for every index of
-an integer array j into ``out`` of shape (2, 2, *j.shape).  Inside chunks of
+One numpy kernel, :func:`_scan`, multiplies out the steps of every 2x2 engine
+of :data:`ENGINES`, the effective engine's step propagators included, and
+every one records the same columns.  An engine enters through its step
+source, ``fill(j, out)``, which writes V_j for every index of an integer
+array j into ``out`` of shape (2, 2, *j.shape); :func:`_step_source` is the
+one place that turns an engine name into a step source.  Inside chunks of
 _CHUNK steps, prefix products take _CHUNK - 1 rounds vectorised across the
 chunks (Blelloch, "Prefix sums and their applications", 1990); a carry, the
 product of all earlier chunks, joins them.  Each product is a matrix rescaled
@@ -46,6 +48,7 @@ import numpy as np
 from .model import RunRecord, SearchParams
 
 __all__ = [
+    "ENGINES",
     "FAULTS",
     "subspace_basis_matrices",
     "expm_2x2_hermitian",
@@ -58,7 +61,10 @@ __all__ = [
 ]
 
 
-#: the named faults of the exact engine; :func:`_engine_matrices` defines them
+#: the engines that run a protocol; :func:`_step_source` defines them
+ENGINES = ("exact", "approx", "effective")
+
+#: the named faults of the exact engine, defined there too
 FAULTS = ("hdown-sign",)
 
 
@@ -107,32 +113,6 @@ def distance_from_unitarity(V: np.ndarray) -> float:
     return 1.0 - 0.5 * float(np.sum(np.abs(V) ** 2))
 
 
-def _engine_matrices(params: SearchParams, engine: str) -> tuple[np.ndarray, np.ndarray]:
-    """The fixed pair (P, Q) of V_j = C_j P + S_j Q: the block propagators
-    for ``exact`` and Q = P for its fault ``hdown-sign`` (see :data:`FAULTS`),
-    the matrices of :func:`approx_step_operator` for ``approx``."""
-    if engine in ("exact", *FAULTS):
-        h_up, h_dn = subspace_basis_matrices(params)
-        P = expm_2x2_hermitian(h_up, params.delta_t)
-        if engine == "hdown-sign":
-            return P, P
-        return P, expm_2x2_hermitian(h_dn, params.delta_t)
-    if engine == "approx":
-        if params.epsilon != 0.0:
-            raise ValueError(
-                f"the approx engine has no detuning term, got eps={params.epsilon!r}"
-            )
-        x, dt = params.x, params.delta_t
-        damp = cmath.exp(-2j * dt)
-        ixdt = 1j * x * dt
-        half = 0.5 * x * (1.0 - damp)
-        return (
-            np.array([[1.0, ixdt], [ixdt, 1.0]], dtype=complex),
-            np.array([[1.0, -half], [-half, damp]], dtype=complex),
-        )
-    raise ValueError(f"unknown engine {engine!r}")
-
-
 #: steps per chunk of the product kernel; chunk c holds steps cL+1, ..., (c+1)L
 _CHUNK = 64
 
@@ -141,14 +121,41 @@ _CHUNK = 64
 _BLOCK_STEPS = 1 << 14
 
 #: a step source: ``fill(j, out)`` writes V_j for every index of the integer
-#: array j into ``out`` of shape (2, 2, *j.shape)
+#: array j into ``out`` of shape (2, 2, *j.shape); the kernel fills whole
+#: chunks, so j may run past the last step
 StepSource = Callable[[np.ndarray, np.ndarray], None]
 
 
 def _step_source(params: SearchParams, engine: str) -> StepSource:
-    """The cycle operators V_j = cos(dtheta) (P+Q)/2 + cos(phi_j) (P-Q)/2 of
-    ``engine``, as a step source."""
-    P, Q = _engine_matrices(params, engine)
+    """The steps of ``engine``, one of :data:`ENGINES` or :data:`FAULTS`, as
+    a step source: the only place that turns an engine name into steps.
+
+    The effective engine's steps come from its integrator.  Every other
+    engine is a fixed pair (P, Q), and its steps are V_j = cos(dtheta) (P+Q)/2
+    + cos(phi_j) (P-Q)/2: the block propagators for ``exact``, Q = P for its
+    fault ``hdown-sign``, the matrices of :func:`approx_step_operator` for
+    ``approx``."""
+    if engine == "effective":
+        from .effective import _effective_source  # exact runs never load it
+
+        return _effective_source(params)
+    if engine in ("exact", *FAULTS):
+        h_up, h_dn = subspace_basis_matrices(params)
+        P = expm_2x2_hermitian(h_up, params.delta_t)
+        Q = P if engine == "hdown-sign" else expm_2x2_hermitian(h_dn, params.delta_t)
+    elif engine == "approx":
+        if params.epsilon != 0.0:
+            raise ValueError(
+                f"the approx engine has no detuning term, got eps={params.epsilon!r}"
+            )
+        x, dt = params.x, params.delta_t
+        damp = cmath.exp(-2j * dt)
+        ixdt = 1j * x * dt
+        off = 0.5 * x * (1.0 - damp)
+        P = np.array([[1.0, ixdt], [ixdt, 1.0]], dtype=complex)
+        Q = np.array([[1.0, -off], [-off, damp]], dtype=complex)
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
     mean = (0.5 * math.cos(params.delta_theta)) * (P + Q)
     half = 0.5 * (P - Q)
 
@@ -187,8 +194,8 @@ def approx_step_operator(j: int, params: SearchParams) -> np.ndarray:
 def accumulate_process(
     params: SearchParams, n: int, engine: str = "exact"
 ) -> tuple[np.ndarray, RunRecord]:
-    """Accumulate V(n) = V_n ... V_1 of ``engine`` (``exact``, ``approx`` or
-    a fault of :data:`FAULTS`) and record the full trajectory.
+    """Accumulate V(n) = V_n ... V_1 of ``engine`` (one of :data:`ENGINES`
+    or a fault of :data:`FAULTS`) and record the full trajectory.
 
     Returns the accumulated operator and a :class:`RunRecord` sampled at every
     step (row 0 is the initial state).  Survival is the squared norm of the
@@ -251,10 +258,8 @@ def _scan(fill: StepSource, n: int, record: bool) -> Iterator[tuple]:
         # M[i] holds the step entries V_i, then the prefix that ends there
         M = buf[: 4 * _CHUNK * c].reshape(_CHUNK, 2, 2, c)
         j = np.arange(first, first + _CHUNK * c).reshape(c, _CHUNK).T
-        steps = M.transpose(1, 2, 0, 3)
-        fill(j[:, :whole], steps[..., :whole])
+        fill(j, M.transpose(1, 2, 0, 3))
         if part:  # a short last chunk, padded with identities, which multiply exactly
-            fill(j[:part, whole], steps[:, :, :part, whole])
             M[part:, :, :, whole] = np.eye(2)
         E = np.zeros((_CHUNK, c), dtype=np.int64)
         for i in range(1, _CHUNK):
@@ -290,13 +295,11 @@ def _distance(W: np.ndarray, g: np.ndarray) -> np.ndarray:
     return 1.0 - 0.5 * np.ldexp(frob, 2 * g)
 
 
-def _propagate(
-    params: SearchParams, fill: StepSource, n: int, distance: bool = True
-) -> tuple[np.ndarray, RunRecord]:
+def _propagate(params: SearchParams, fill: StepSource, n: int) -> tuple[np.ndarray, RunRecord]:
     """Multiply out the steps 1, ..., n that ``fill`` writes, and record
     V(j)|s> at every step: survival is its squared norm and fidelity is
-    read from its direction (see :meth:`RunRecord.from_series`).  With
-    ``distance`` off the record's distance column is NaN."""
+    read from its direction (see :meth:`RunRecord.from_series`); the
+    distance column is d(V(j))."""
     x = params.x
     r = math.sqrt(1.0 - x * x)  # |s> = x|w> + r|r>
     fid, sur, dist = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
@@ -305,8 +308,7 @@ def _propagate(
     with np.errstate(invalid="ignore"):
         for W, g in _scan(fill, n, record=True):
             k = min(g.size, n + 1 - j)
-            if distance:
-                dist[j : j + k] = _distance(W, g).ravel()[:k]
+            dist[j : j + k] = _distance(W, g).ravel()[:k]
             # the squared moduli of the two entries of V(j)|s>
             amp0 = _sq(W[0, 0] * x + W[0, 1] * r)
             norm = amp0 + _sq(W[1, 0] * x + W[1, 1] * r)
@@ -315,10 +317,7 @@ def _propagate(
             j += k
     last = np.unravel_index(k - 1, g.shape)  # step n
     V = W[(...,) + last] * np.ldexp(1.0, g[last])
-    record = RunRecord.from_series(
-        params, fid, sur, np.isnan(fid), dist if distance else None
-    )
-    return V, record
+    return V, RunRecord.from_series(params, fid, sur, np.isnan(fid), dist)
 
 
 def run_protocol(

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zenogrover
-from zenogrover import cli
+from zenogrover import cli, stroboscopic
 from zenogrover.cli import RunConfig, build_parser, main, run_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -78,7 +78,16 @@ class TestRun:
         assert rc == 0
         _, cols = read_table(out)
         assert float(cols["f"][-1]) == pytest.approx(0.99, abs=0.02)
-        assert all(v == "nan" for v in cols["d"][:3])
+        d = np.array([float(v) for v in cols["d"]])
+        assert d[0] == 0.0 and np.all(np.isfinite(d))
+
+    def test_engine_choices_are_the_engines(self, tmp_path, capsys):
+        assert cli._FLAGS["engine"][1]["choices"] == stroboscopic.ENGINES
+        # a name that argparse did not vet still exits 2 through the one dispatch
+        config = RunConfig(mode="run", N=1e6, k=1, tau=0.2, engine="x",
+                           out=str(tmp_path / "x.csv"))
+        assert run_config(config) == 2
+        assert capsys.readouterr().err == "error: unknown engine 'x'\n"
 
     def test_deterministic_rerun(self, tmp_path):
         out = tmp_path / "det.csv"
@@ -148,36 +157,52 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, blocker",
         [
-            ["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3", "--out", "{out}"],
-            # no --out: the table goes to $ZENOGROVER_OUTDIR/run.csv
-            ["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3"],
-            ["sweep-dt", "--n", "1e10", "--alpha", "0.3", "--grid", "2.8:3.4:21",
-             "--out", "{out}"],
-            ["sweep-eps", "--n", "1e18", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
-             "--grid=-10:10:81", "--out", "{out}"],
-            ["plan-scale", "--n", "1e6", "--k", "1", "--tau", "0.2", "--nr", "1e18",
-             "--check", "--out", "{out}"],
-            ["verify", "--n", "1024", "--steps", "200", "--out", "{out}"],
-            ["eff-compare", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
-             "--out", "{out}"],
+            pytest.param(argv, blocker, id=mode if blocker == "file" else f"{mode}-dir")
+            for blocker in ("file", "dir")
+            for mode, argv in {
+                "run": ["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
+                        "--out", "{out}"],
+                # no --out: the table goes to $ZENOGROVER_OUTDIR/run.csv
+                "run-outdir": ["run", "--n", "1e6", "--k", "1", "--tau", "0.2",
+                               "--alpha", "0.3"],
+                "sweep-dt": ["sweep-dt", "--n", "1e10", "--alpha", "0.3", "--grid",
+                             "2.8:3.4:21", "--out", "{out}"],
+                "sweep-eps": ["sweep-eps", "--n", "1e18", "--k", "1", "--tau", "0.2",
+                              "--alpha", "0.3", "--grid=-10:10:81", "--out", "{out}"],
+                "plan-scale": ["plan-scale", "--n", "1e6", "--k", "1", "--tau", "0.2",
+                               "--nr", "1e18", "--check", "--out", "{out}"],
+                "verify": ["verify", "--n", "1024", "--steps", "200", "--out", "{out}"],
+                "eff-compare": ["eff-compare", "--n", "1e6", "--k", "1", "--tau", "0.2",
+                                "--alpha", "0.3", "--out", "{out}"],
+            }.items()
         ],
-        ids=["run", "run-outdir", "sweep-dt", "sweep-eps", "plan-scale", "verify",
-             "eff-compare"],
     )
-    def test_unwritable_output_exits_before_the_work(self, tmp_path, monkeypatch, capsys, argv):
+    def test_unwritable_output_exits_before_the_work(
+        self, tmp_path, monkeypatch, capsys, argv, blocker
+    ):
         def reached(config):
             raise AssertionError("the command ran before its output path was checked")
 
         mode = argv[0]
         monkeypatch.setitem(cli._COMMANDS, mode, (reached, cli._COMMANDS[mode][1]))
-        # a regular file where the output directory should be
-        blocker = tmp_path / "blocker"
-        blocker.write_text("")
-        monkeypatch.setenv("ZENOGROVER_OUTDIR", str(blocker / "sub"))
-        assert main([a.format(out=blocker / "x.csv") for a in argv]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        if blocker == "file":
+            # a regular file where the output directory should be
+            (tmp_path / "blocker").write_text("")
+            out, outdir = tmp_path / "blocker" / "x.csv", tmp_path / "blocker" / "sub"
+        else:
+            # a directory where the output file should be
+            out, outdir = tmp_path / "x.csv", tmp_path
+            out.mkdir()
+            (tmp_path / "run.csv").mkdir()
+        monkeypatch.setenv("ZENOGROVER_OUTDIR", str(outdir))
+        assert main([a.format(out=out) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if blocker == "dir":
+            target = out if "{out}" in argv else outdir / "run.csv"
+            assert err == f"error: [Errno 21] Is a directory: '{target}'\n"
 
 
 class TestJobs:
@@ -328,6 +353,13 @@ class TestReadme:
         parser = build_parser()
         for line in lines:
             parser.parse_args(line[1:])
+
+    def test_flag_table_lists_each_commands_flags(self):
+        rows = re.findall(r"^\| `([\w-]+)` \| `([^`]*)`", README.read_text(), re.MULTILINE)
+        assert {mode: flags.split() for mode, flags in rows} == {
+            mode: [f"--{flag}" for flag in flags.split()]
+            for mode, (_, flags) in cli._COMMANDS.items()
+        }
 
     def test_library_example_runs(self, capsys):
         blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)

@@ -218,10 +218,7 @@ class TestStepSource:
         # split the 1-d and 2-d arrays
         monkeypatch.setattr(effective, "_SUBSTEPS_PER_BLOCK", 33)
         p = make_params(1e6, k=1, tau=0.2, alpha=0.3, theta0=0.3)
-        if engine == "effective":
-            source = effective._effective_source(p)
-        else:
-            source = stroboscopic._step_source(p, engine)
+        source = stroboscopic._step_source(p, engine)
         step = {"exact": exact_step_operator, "approx": approx_step_operator}.get(
             engine, lambda j, p: _lone_step(source, j)
         )
@@ -235,6 +232,22 @@ class TestStepSource:
             # Q = P: every step is the up-block propagator scaled by cos(dtheta)
             P = expm_2x2_hermitian(subspace_basis_matrices(p)[0], p.delta_t)
             np.testing.assert_allclose(step(5, p), math.cos(p.delta_theta) * P, atol=1e-15)
+
+
+class TestEngineDispatch:
+    def test_effective_is_a_protocol_engine(self):
+        p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
+        got = run_protocol(p, 300, "effective")
+        ref = effective.integrate_effective(p, 300)
+        assert np.array_equal(got.fidelity, ref.fidelity)
+        assert np.array_equal(got.survival, ref.survival)
+
+    def test_effective_records_the_distance(self):
+        p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
+        V, record = accumulate_process(p, 300, "effective")
+        assert record.distance[0] == 0.0
+        assert np.all(np.isfinite(record.distance))
+        assert record.distance[-1] == pytest.approx(distance_from_unitarity(V), abs=1e-14)
 
 
 class TestBlockMatrices:
