@@ -31,10 +31,8 @@ _EXPORTS_BY_MODULE = {
         "approx_step_operator",
         "distance_from_unitarity",
         "exact_step_operator",
-        "expm_2x2_hermitian",
         "final_distance",
         "run_protocol",
-        "subspace_basis_matrices",
     ),
     "fullspace": (
         "equivalence_suite",

@@ -118,6 +118,11 @@ def _resolve_out(config: RunConfig) -> Path:
     return outdir / f"{config.mode}.csv"
 
 
+def _sidecar(path: Path) -> Path:
+    """The JSON sidecar of the table at ``path``."""
+    return path.with_name(path.name + ".meta.json")
+
+
 #: rows formatted per write of :func:`_write_table`
 _ROWS_PER_WRITE = 1 << 16
 
@@ -163,8 +168,7 @@ def _write_table(
             block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
             f.write("".join([row % r for r in zip(*block)]))
 
-    sidecar = path.with_name(path.name + ".meta.json")
-    sidecar.write_text(
+    _sidecar(path).write_text(
         json.dumps(
             {"version": __version__, "config": cfg, "summary": summary},
             sort_keys=True,
@@ -399,7 +403,7 @@ def cmd_eff_compare(config: RunConfig) -> int:
     params = config.build_params()
     exact = run_protocol(params, config.steps)
     eff = run_protocol(params, config.steps, engine="effective")
-    f_eq11 = np.array([unitary_approx_fidelity(int(m), params) for m in exact.steps])
+    f_eq11 = unitary_approx_fidelity(exact.steps, params)
     f_exact, f_eff = exact.fidelity, eff.fidelity
     summary = {
         "max_dev_eff_exact": float(np.max(np.abs(f_eff - f_exact))),
@@ -496,16 +500,17 @@ _OUT_OPTIONAL = ("plan-scale", "verify")
 def run_config(config: RunConfig) -> int:
     """Dispatch a resolved config; returns the process exit code.  The
     output directory is made before the command runs, so an output path
-    whose directory cannot be made, or that names a directory, exits 2
-    before any work is done."""
+    whose directory cannot be made, or whose table or sidecar names a
+    directory, exits 2 before any work is done."""
     try:
         if config.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {config.jobs}")
         if config.out is not None or config.mode not in _OUT_OPTIONAL:
             path = _resolve_out(config)
             path.parent.mkdir(parents=True, exist_ok=True)
-            if path.is_dir():  # the message that opening it would give
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            for target in (path, _sidecar(path)):
+                if target.is_dir():  # the message that opening it would give
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         return _COMMANDS[config.mode][0](config)
     except (ConfigError, ValueError, OSError, MemoryError) as exc:
         # MemoryError: a step count too large to record, e.g. N = 1e30 at k = 1

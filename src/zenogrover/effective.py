@@ -8,9 +8,13 @@ Three complementary views of the same dynamics:
   whose anti-Hermitian part damps only the residual direction, integrated
   with a fourth-order commutator-free exponential scheme into one propagator
   per protocol step: the step source of the ``effective`` engine, which
-  ``stroboscopic.run_protocol`` runs like any other 2x2 engine; and
+  ``stroboscopic.run_protocol`` runs like any other 2x2 engine, built from
+  the exact engine's closed-form exponential ``stroboscopic._expm_2x2``; and
 * the closed-form unitary approximation at tau = 0, where the fidelity is
   sin^2 of an accumulated rotation angle.
+
+Both follow the exact engine's ancilla angle theta(t) = theta0 + a x t, with
+a x = dtheta/dt.
 
 The damped two-level model (coupling x, damping gamma on the residual) is the
 analytically solvable caricature used to read off the saturation regime; its
@@ -27,7 +31,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .model import DampedTwoLevelModel, RunRecord, SearchParams
-from .stroboscopic import StepSource, run_protocol
+from .stroboscopic import StepSource, _expm_2x2, run_protocol
 
 __all__ = [
     "EffectiveHamiltonian",
@@ -100,9 +104,8 @@ def extract_step_hamiltonian(V: np.ndarray, delta_t: float) -> EffectiveHamilton
 def _generator(params: SearchParams, t: Union[float, np.ndarray]) -> tuple:
     """Entries (h01, h11) of the continuous generator at the times ``t``;
     h00 = -eps and h10 = h01."""
-    axt = params.alpha * params.x * t
-    c2 = np.cos(axt) ** 2
-    s2 = np.sin(axt) ** 2
+    axt = params.theta0 + params.alpha * params.x * t  # the ancilla angle theta(t)
+    c2, s2 = np.cos(axt) ** 2, np.sin(axt) ** 2
     tau, dt = params.tau, params.delta_t
     return -params.x * c2, 2.0 * (tau / dt) * s2 - 2j * (tau * tau / dt) * s2
 
@@ -110,12 +113,13 @@ def _generator(params: SearchParams, t: Union[float, np.ndarray]) -> tuple:
 def continuous_heff(t: float, params: SearchParams) -> EffectiveHamiltonian:
     """Continuous generator for |tau| << 1, in the (|w>, |r>) basis:
 
-        H(t) = -x cos^2(a x t) (|w><r| + |r><w|)
-               + (2 tau/dt) sin^2(a x t) |r><r|
-               - i (2 tau^2/dt) sin^2(a x t) |r><r|
+        H(t) = -x cos^2(theta(t)) (|w><r| + |r><w|)
+               + (2 tau/dt) sin^2(theta(t)) |r><r|
+               - i (2 tau^2/dt) sin^2(theta(t)) |r><r|
                - eps |w><w|,
 
-    with a x = dtheta/dt.  For tau = 0 the generator is Hermitian.
+    with the ancilla angle theta(t) = theta0 + a x t and a x = dtheta/dt.
+    For tau = 0 the generator is Hermitian.
     """
     h01, h11 = _generator(params, t)
     A = np.array([[-params.epsilon, h01], [h01, h11.real]], dtype=complex)
@@ -132,21 +136,6 @@ def _default_substeps(params: SearchParams) -> int:
     if ax > 0:
         h_max = min(h_max, 1.0 / (50.0 * ax))
     return max(1, int(math.ceil(dt / h_max)))
-
-
-def _expm_symmetric(h00, h01, h11, h: float) -> np.ndarray:
-    """exp(-i h [[h00, h01], [h01, h11]]) for entry arrays of one shape S,
-    as shape (2, 2, *S).  With -i h H = a I + T, T traceless and T^2 = w^2 I,
-    the exponential is e^a (cosh w I + sinh(w)/w T)."""
-    a = -0.5j * h * (h00 + h11)
-    t00 = -0.5j * h * (h00 - h11)
-    t01 = -1j * h * h01
-    w = np.sqrt(t00 * t00 + t01 * t01)  # cosh and sinh(w)/w are even in w
-    ea = np.exp(a)
-    ch = ea * np.cosh(w)
-    sh = ea * np.sinc(1j * w / math.pi)  # sinh(w)/w, exact at w = 0
-    entries = [ch + sh * t00, sh * t01, sh * t01, ch - sh * t00]
-    return np.stack(entries).reshape(2, 2, *ch.shape)
 
 
 def _ordered_product(F: np.ndarray) -> np.ndarray:
@@ -179,7 +168,9 @@ def _effective_source(params: SearchParams) -> StepSource:
     m = _default_substeps(params)
     h = params.delta_t / m
     r3 = math.sqrt(3.0) / 6.0
-    w1, w2 = 0.25 - r3, 0.25 + r3
+    # the weights (w2, w1) of the early and (w1, w2) of the late exponential
+    # of each substep, on a last axis
+    u, v = np.array([0.25 + r3, 0.25 - r3]), np.array([0.25 - r3, 0.25 + r3])
     per_block = max(1, _SUBSTEPS_PER_BLOCK // m)
 
     def fill(j: np.ndarray, out: np.ndarray) -> None:
@@ -187,16 +178,15 @@ def _effective_source(params: SearchParams) -> StepSource:
         j, out = j.reshape(shape), out.reshape(2, 2, *shape)
         for s in range(0, j.size, per_block):
             at = np.unravel_index(np.arange(s, min(s + per_block, j.size)), shape)
-            k = (m * (j[at] - 1))[:, None] + np.arange(m)  # the substeps of each step
+            k = (m * (j[at] - 1))[:, None, None] + np.arange(m)[:, None]  # the substeps
             (p1, q1), (p2, q2) = (
                 _generator(params, (k + c) * h) for c in (0.5 - r3, 0.5 + r3)
             )
-            early, late = (  # h00 = -eps at both nodes, and w1 + w2 = 1/2
-                _expm_symmetric(-0.5 * params.epsilon, u * p1 + v * p2, u * q1 + v * q2, h)
-                for u, v in ((w2, w1), (w1, w2))
-            )
-            factors = np.stack([early, late], -1).reshape(2, 2, k.shape[0], 2 * m)
-            out[(...,) + at] = _ordered_product(factors)
+            h00 = -0.5 * params.epsilon  # -eps at both nodes, and w1 + w2 = 1/2
+            h01, h11 = u * p1 + v * p2, u * q1 + v * q2
+            a, t00 = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
+            factors = _expm_2x2(a, t00, h01, np.sqrt(t00 * t00 + h01 * h01), h)
+            out[(...,) + at] = _ordered_product(factors.reshape(2, 2, k.shape[0], 2 * m))
 
     return fill
 
@@ -209,21 +199,22 @@ def integrate_effective(params: SearchParams, n_max: Optional[int] = None) -> Ru
     return run_protocol(params, n_max, engine="effective")
 
 
-def unitary_approx_fidelity(n: int, params: SearchParams) -> float:
-    """Closed-form fidelity of the tau = 0 process:
+def unitary_approx_fidelity(n: int | np.ndarray, params: SearchParams) -> float | np.ndarray:
+    """Closed-form fidelity of the tau = 0 process after the step or array
+    of steps n:
 
-        f(n) = sin^2(A(n)),  A(n) = (x dt / 2) (n + sin(2 n dtheta)/(2 dtheta)),
+        f(n) = sin^2(A(n)),
+        A(n) = (x dt / 2) (n + (sin(2 theta0 + 2 n dtheta) - sin(2 theta0)) / (2 dtheta)),
 
-    with the dtheta -> 0 limit sin(2 n dtheta)/(2 dtheta) -> n taken
-    analytically below 1e-12.
-    """
-    dtheta = params.delta_theta
+    the angle x * integral of cos^2(theta(t)) dt; below |dtheta| = 1e-12 the
+    quotient takes its dtheta -> 0 limit n cos(2 theta0)."""
+    dtheta, twice0 = params.delta_theta, 2.0 * params.theta0
     if abs(dtheta) < 1e-12:
-        osc = float(n)
+        osc = n * math.cos(twice0)
     else:
-        osc = math.sin(2.0 * n * dtheta) / (2.0 * dtheta)
+        osc = (np.sin(twice0 + 2.0 * n * dtheta) - math.sin(twice0)) / (2.0 * dtheta)
     A = 0.5 * params.x * params.delta_t * (n + osc)
-    return math.sin(A) ** 2
+    return np.sin(A) ** 2
 
 
 def damped_eigenanalysis(x: float, gamma: float) -> DampedTwoLevelModel:

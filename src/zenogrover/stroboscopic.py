@@ -9,10 +9,12 @@ subspace spanned by the target |w> and the residual |r> as
 
 with (P, Q) a fixed matrix pair per engine: the block propagators
 (exp(-i h_up dt), exp(-i h_dn dt)) of the two ancilla blocks for the exact
-engine, the small-overlap matrices for the approximate one.  ``verify
---inject-fault hdown-sign`` runs the suite against the exact engine with
-Q = P (its down block's driving term left unflipped), and must fail.  Since
-C_j + S_j = cos(dtheta) and C_j - S_j = cos(theta_{j-1} + theta_j),
+engine, the small-overlap matrices for the approximate one.  The block
+propagators and the effective engine's substep exponentials are one closed
+form, :func:`_expm_2x2` of a generator's trace part and traceless entries.
+``verify --inject-fault hdown-sign`` runs the suite against the exact engine
+with Q = P (its down block's driving term left unflipped), and must fail.
+Since C_j + S_j = cos(dtheta) and C_j - S_j = cos(theta_{j-1} + theta_j),
 
     V_j = cos(dtheta) (P+Q)/2 + cos(phi_j) (P-Q)/2,
     phi_j = 2 theta_0 + (2j-1) dtheta,
@@ -50,8 +52,6 @@ from .model import RunRecord, SearchParams
 __all__ = [
     "ENGINES",
     "FAULTS",
-    "subspace_basis_matrices",
-    "expm_2x2_hermitian",
     "exact_step_operator",
     "approx_step_operator",
     "distance_from_unitarity",
@@ -68,43 +68,18 @@ ENGINES = ("exact", "approx", "effective")
 FAULTS = ("hdown-sign",)
 
 
-def subspace_basis_matrices(params: SearchParams) -> tuple[np.ndarray, np.ndarray]:
-    """The two ancilla blocks (h_up, h_dn) of the joint Hamiltonian in the
-    (|w>, |r>) basis, for the given overlap x and detuning epsilon:
+def _expm_2x2(a, t00, t01, w, t: float) -> np.ndarray:
+    """exp(-i t (a I + T)) for T = [[t00, t01], [t01, -t00]] and w^2 = t00^2 +
+    t01^2, the one 2x2 exponential of the engines.  Since T^2 = w^2 I,
 
-    h_up = -(1+eps)|w><w| - |s><s|  (ancilla up),
-    h_dn = -(1+eps)|w><w| + |s><s|  (ancilla down).
+        exp(-i t (a I + T)) = e^{-iat} (cos(wt) I - i sin(wt)/w T),
 
-    Their sum is -2(1+eps)|w><w|: the driving parts cancel.  With |s> =
-    x|w> + c|r>, c = sqrt(1-x^2), |s><s| has entries [[x^2, x*c], [x*c, c^2]].
-    """
-    x = params.x
-    c = math.sqrt(1.0 - x * x)
-    ww = np.array([[1.0, 0.0], [0.0, 0.0]])
-    ss = np.array([[x * x, x * c], [x * c, c * c]])
-    coeff = 1.0 + params.epsilon
-    return -coeff * ww - ss, -coeff * ww + ss
-
-
-def expm_2x2_hermitian(H: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian 2x2 H in closed form.
-
-    Split H = a*I + T with T traceless; then
-    exp(-iHt) = e^{-iat} (cos(w t) I - i sin(w t)/w T), w = ||T||.
-    The w -> 0 limit sin(wt)/w -> t is handled through sinc.
-    """
-    a = 0.5 * (H[0, 0].real + H[1, 1].real)
-    t00 = H[0, 0].real - a
-    t01 = H[0, 1]
-    w = math.hypot(t00, abs(t01))
-    sinc = t * np.sinc(w * t / math.pi)  # sin(w t)/w, exact at w = 0
-    out = np.empty((2, 2), dtype=complex)
-    cw = math.cos(w * t)
-    out[0, 0] = cw - 1j * sinc * t00
-    out[0, 1] = -1j * sinc * t01
-    out[1, 0] = -1j * sinc * np.conj(t01)
-    out[1, 1] = cw + 1j * sinc * t00
-    return cmath.exp(-1j * a * t) * out
+    with sin(wt)/w through sinc, exact at w = 0.  The entries may be complex
+    scalars or arrays of one shape S; the result has shape (2, 2, *S).  The
+    caller supplies w, so it can compute it from the small quantities."""
+    cw, sinc = np.cos(w * t), t * np.sinc(w * t / math.pi)
+    diag, off = 1j * sinc * t00, -1j * sinc * t01
+    return np.exp(-1j * a * t) * np.array([[cw - diag, off], [off, cw + diag]])
 
 
 def distance_from_unitarity(V: np.ndarray) -> float:
@@ -140,9 +115,19 @@ def _step_source(params: SearchParams, engine: str) -> StepSource:
 
         return _effective_source(params)
     if engine in ("exact", *FAULTS):
-        h_up, h_dn = subspace_basis_matrices(params)
-        P = expm_2x2_hermitian(h_up, params.delta_t)
-        Q = P if engine == "hdown-sign" else expm_2x2_hermitian(h_dn, params.delta_t)
+        x = params.x
+        c = math.sqrt(1.0 - x * x)  # |s> = x|w> + c|r>
+
+        def block(sign: float) -> np.ndarray:
+            # exp(-i h dt) of the block h = -(1+eps)|w><w| + sign |s><s| of
+            # ancilla up (sign = -1) or down (+1): the driving terms cancel in the sum
+            h00, h11 = -(1.0 + params.epsilon) + sign * x * x, sign * c * c
+            a = 0.5 * (h00 + h11)
+            t00, t01 = h00 - a, sign * x * c
+            return _expm_2x2(a, t00, t01, math.hypot(t00, abs(t01)), params.delta_t)
+
+        P = block(-1.0)
+        Q = P if engine == "hdown-sign" else block(1.0)
     elif engine == "approx":
         if params.epsilon != 0.0:
             raise ValueError(

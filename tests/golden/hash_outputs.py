@@ -1,0 +1,102 @@
+"""Hash the outputs of the commands whose bytes a change must keep, or move
+only on purpose.
+
+Usage (from the root of a source checkout):
+
+    python3 tests/golden/hash_outputs.py [--src DIR] [--keep DIR]
+
+Each command runs as a fresh ``python -m zenogrover.cli ... --jobs 1``
+process against the package in ``--src`` (default: this checkout's
+``src``).  One line per command: its name, its exit code, and the sha256 of
+its stdout (with the output directory masked), of its table and of its
+sidecar ("-" where it writes none).  The output directory is not part of the
+table or the sidecar, so two checkouts compare with a plain diff:
+
+    python3 tests/golden/hash_outputs.py --src ../parent/src > parent.txt
+    python3 tests/golden/hash_outputs.py > change.txt
+    diff parent.txt change.txt
+
+The commands are the benchmark's ``recipes`` and ``effective`` workloads and
+its ``oracle`` workload at seeds 0 and 1, read from perfbench/workloads.py,
+plus :data:`EXTRA`.  ``--keep DIR`` writes the tables to DIR and keeps them,
+for a comparison of values where bytes move on purpose.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Iterator
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+from workloads import Command  # noqa: E402
+
+#: commands beyond the benchmark's: both verify defaults, the approx engine,
+#: a deep-damping run at N = 4 and a long exact run
+EXTRA = (
+    Command("verify", ("verify",)),
+    Command("verify_n4", tuple("verify --n 4 --steps 700".split())),
+    Command("run_approx", tuple("run --engine approx --n 1e10 --dt 3.3416 --alpha 0.3".split())),
+    Command("run_n4", tuple("run --n 4 --dt 3.141592653589793 --dtheta 0.01 --steps 3000".split())),
+    Command("run_1e12", tuple("run --n 1e12 --k 1 --tau 0.2 --alpha 0.3".split())),
+)
+
+
+def commands() -> Iterator[Command]:
+    yield from workloads.commands("recipes", workloads.DEFAULT_SEED)
+    yield from workloads.commands("effective", workloads.DEFAULT_SEED)
+    for seed in (0, 1):
+        for cmd in workloads.commands("oracle", seed):
+            yield dataclasses.replace(cmd, name=f"{cmd.name}.seed{seed}")
+    yield from EXTRA
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else "-"
+
+
+def hash_outputs(src: Path, outdir: Path) -> Iterator[str]:
+    """Run every command against the package in ``src``, writing to
+    ``outdir``, and yield its line."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("ZENOGROVER_OUTDIR", None)
+    for cmd in commands():
+        table = outdir / f"{cmd.name}.csv"
+        sidecar = table.with_name(table.name + ".meta.json")
+        for path in (table, sidecar):  # no output of an earlier run counts
+            path.unlink(missing_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "zenogrover.cli", *cmd.argv(str(outdir))],
+            cwd=outdir, env=env, capture_output=True, check=False,
+        )
+        stdout = proc.stdout.replace(str(outdir).encode(), b"<out>")
+        yield " ".join([
+            cmd.name, str(proc.returncode), hashlib.sha256(stdout).hexdigest(),
+            _sha256(table) if cmd.writes else "-", _sha256(sidecar) if cmd.writes else "-",
+        ])
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the directory that holds the zenogrover package")
+    parser.add_argument("--keep", type=Path, help="write the outputs here and keep them")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = (args.keep or Path(tmp)).resolve()
+        outdir.mkdir(parents=True, exist_ok=True)
+        for line in hash_outputs(args.src.resolve(), outdir):
+            print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()

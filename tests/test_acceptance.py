@@ -186,13 +186,13 @@ def test_criterion_7_effective_model():
     for alpha in (0.1, 1.0):
         p = make_params(N, 1e6 * math.pi, alpha=alpha)
         exact = run_protocol(p, 2000)
-        f11 = np.array([unitary_approx_fidelity(int(n), p) for n in exact.steps])
+        f11 = unitary_approx_fidelity(exact.steps, p)
         worst_11 = max(worst_11, float(np.max(np.abs(f11 - exact.fidelity))))
     eq11_ok = worst_11 <= 0.01
 
     # matched rotation doubles the search time: first maximum at pi sqrt(N)
     p = make_params(N, 1e6 * math.pi, alpha=1.0)
-    f = np.array([unitary_approx_fidelity(n, p) for n in range(1, 2500)])
+    f = unitary_approx_fidelity(np.arange(1, 2500), p)
     peak = 1 + int(np.argmax(f))
     peak_ok = abs(peak * p.delta_t - math.pi * math.sqrt(N)) <= p.delta_t
 

@@ -159,8 +159,8 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "argv, blocker",
         [
-            pytest.param(argv, blocker, id=mode if blocker == "file" else f"{mode}-dir")
-            for blocker in ("file", "dir")
+            pytest.param(argv, blocker, id=mode if blocker == "file" else f"{mode}-{blocker}")
+            for blocker in ("file", "dir", "sidecar")
             for mode, argv in {
                 "run": ["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
                         "--out", "{out}"],
@@ -192,17 +192,18 @@ class TestBadInput:
             (tmp_path / "blocker").write_text("")
             out, outdir = tmp_path / "blocker" / "x.csv", tmp_path / "blocker" / "sub"
         else:
-            # a directory where the output file should be
+            # a directory where the output file, or its sidecar, should be
             out, outdir = tmp_path / "x.csv", tmp_path
-            out.mkdir()
-            (tmp_path / "run.csv").mkdir()
+            suffix = ".meta.json" if blocker == "sidecar" else ""
+            for table in (out, tmp_path / "run.csv"):
+                table.with_name(table.name + suffix).mkdir()
         monkeypatch.setenv("ZENOGROVER_OUTDIR", str(outdir))
         assert main([a.format(out=out) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        if blocker == "dir":
+        if blocker != "file":
             target = out if "{out}" in argv else outdir / "run.csv"
-            assert err == f"error: [Errno 21] Is a directory: '{target}'\n"
+            assert err == f"error: [Errno 21] Is a directory: '{target}{suffix}'\n"
 
 
 class TestJobs:

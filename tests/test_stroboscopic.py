@@ -15,15 +15,41 @@ from zenogrover.model import (
     overlap_x,
 )
 from zenogrover.stroboscopic import (
+    ENGINES,
+    _expm_2x2,
     accumulate_process,
     approx_step_operator,
     distance_from_unitarity,
     exact_step_operator,
-    expm_2x2_hermitian,
     final_distance,
     run_protocol,
-    subspace_basis_matrices,
 )
+
+
+def subspace_basis_matrices(params):
+    """Reference: the two ancilla blocks (h_up, h_dn) of the joint
+    Hamiltonian in the (|w>, |r>) basis, for the given overlap x and
+    detuning epsilon:
+
+    h_up = -(1+eps)|w><w| - |s><s|  (ancilla up),
+    h_dn = -(1+eps)|w><w| + |s><s|  (ancilla down).
+
+    Their sum is -2(1+eps)|w><w|: the driving parts cancel.  With |s> =
+    x|w> + c|r>, c = sqrt(1-x^2), |s><s| has entries [[x^2, x*c], [x*c, c^2]].
+    """
+    x = params.x
+    c = math.sqrt(1.0 - x * x)
+    ww = np.array([[1.0, 0.0], [0.0, 0.0]])
+    ss = np.array([[x * x, x * c], [x * c, c * c]])
+    coeff = 1.0 + params.epsilon
+    return -coeff * ww - ss, -coeff * ww + ss
+
+
+def expm_hermitian(H, t):
+    """exp(-i H t) of a real symmetric 2x2 H through :func:`_expm_2x2`."""
+    a = 0.5 * (H[0, 0] + H[1, 1])
+    t00, t01 = H[0, 0] - a, H[0, 1]
+    return _expm_2x2(a, t00, t01, math.hypot(t00, abs(t01)), t)
 
 
 def align_global_phase(reference: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -230,7 +256,7 @@ class TestStepSource:
                 assert np.array_equal(out[(...,) + at], step(int(j[at]), p))
         if engine == "hdown-sign":
             # Q = P: every step is the up-block propagator scaled by cos(dtheta)
-            P = expm_2x2_hermitian(subspace_basis_matrices(p)[0], p.delta_t)
+            P = expm_hermitian(subspace_basis_matrices(p)[0], p.delta_t)
             np.testing.assert_allclose(step(5, p), math.cos(p.delta_theta) * P, atol=1e-15)
 
 
@@ -248,6 +274,14 @@ class TestEngineDispatch:
         assert record.distance[0] == 0.0
         assert np.all(np.isfinite(record.distance))
         assert record.distance[-1] == pytest.approx(distance_from_unitarity(V), abs=1e-14)
+
+    def test_every_engine_honours_theta0(self):
+        # theta_j = theta0 + j dtheta in every engine: at theta0 = 0.3 the
+        # exact P reads 0.0065, 41 times below its theta0 = 0 value of 0.27
+        p = make_params(1e6, k=1, tau=0.2, alpha=0.3, theta0=0.3)
+        exact = run_protocol(p).final_survival
+        for engine in ENGINES:
+            assert run_protocol(p, engine=engine).final_survival == pytest.approx(exact, rel=0.05)
 
 
 class TestBlockMatrices:
@@ -301,13 +335,47 @@ class TestExpm2x2:
             H = np.array([[a, b], [b, c]])
             t = float(rng.uniform(0.1, 10.0))
             expected = scipy.linalg.expm(-1j * H * t)
-            np.testing.assert_allclose(expm_2x2_hermitian(H, t), expected, atol=1e-13)
+            got = _expm_2x2(0.5 * (a + c), 0.5 * (a - c), b, math.hypot(0.5 * (a - c), b), t)
+            np.testing.assert_allclose(got, expected, atol=1e-13)
 
     def test_degenerate_limit(self):
-        H = -2.0 * np.eye(2)
+        # H = -2 I: T = 0 and w = 0
         np.testing.assert_allclose(
-            expm_2x2_hermitian(H, 1.7), np.exp(2j * 1.7) * np.eye(2), atol=1e-15
+            _expm_2x2(-2.0, 0.0, 0.0, 0.0, 1.7), np.exp(2j * 1.7) * np.eye(2), atol=1e-15
         )
+
+    def test_matches_scipy_on_damped_complex_symmetric(self):
+        # the effective engine's case: H = [[h00, h01], [h01, h11]] complex
+        # symmetric, not Hermitian, with Im h11 < 0; the last rows put T at its
+        # exceptional point, T^2 = 0 with T != 0, where w = 0
+        import scipy.linalg
+
+        rng = np.random.default_rng(2)
+        for i in range(60):
+            h00, h01, h11 = rng.normal(size=3) + 1j * rng.normal(size=3)
+            h11 = h11.real - 1j * rng.uniform(0.01, 2.0)
+            if i >= 50:
+                h01 = 0.5j * (h00 - h11)
+            H = np.array([[h00, h01], [h01, h11]])
+            t = float(rng.uniform(0.05, 3.0))
+            a, t00 = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
+            w = np.sqrt(t00 * t00 + h01 * h01)
+            expected = scipy.linalg.expm(-1j * H * t)
+            scale = np.max(np.abs(expected))
+            np.testing.assert_allclose(_expm_2x2(a, t00, h01, w, t), expected,
+                                       rtol=0, atol=1e-13 * scale)
+
+    def test_entry_arrays_give_a_matrix_per_entry(self):
+        # entries of shape S = (3, 4) give shape (2, 2, 3, 4), each matrix the
+        # scalar call's
+        rng = np.random.default_rng(3)
+        a, t00, t01 = (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)) for _ in "123")
+        w = np.sqrt(t00 * t00 + t01 * t01)
+        got = _expm_2x2(a, t00, t01, w, 0.7)
+        assert got.shape == (2, 2, 3, 4)
+        for at in np.ndindex(3, 4):
+            one = _expm_2x2(a[at], t00[at], t01[at], w[at], 0.7)
+            np.testing.assert_allclose(got[(...,) + at], one, rtol=1e-15, atol=0)
 
 
 class TestStepOperators:
@@ -315,7 +383,7 @@ class TestStepOperators:
         p = make_params(1e6, 1.0, delta_theta=0.0)
         h_up, h_dn = subspace_basis_matrices(p)
         op = exact_step_operator(5, p)
-        expected = expm_2x2_hermitian(h_up, p.delta_t)
+        expected = expm_hermitian(h_up, p.delta_t)
         np.testing.assert_allclose(op, expected, atol=1e-15)
         assert abs(distance_from_unitarity(op)) < 1e-12
 
@@ -331,8 +399,8 @@ class TestStepOperators:
         # form reorders the arithmetic, so allow a few double-precision ulps
         p = make_params(1e6, math.pi + 0.2, delta_theta=0.013, theta0=0.3)
         h_up, h_dn = subspace_basis_matrices(p)
-        E_up = expm_2x2_hermitian(h_up, p.delta_t)
-        E_dn = expm_2x2_hermitian(h_dn, p.delta_t)
+        E_up = expm_hermitian(h_up, p.delta_t)
+        E_dn = expm_hermitian(h_dn, p.delta_t)
         damp = np.exp(-2j * p.delta_t)
         for j in (1, 2, 77, 5000):
             c, s = cycle_weights(j, p)
@@ -392,7 +460,7 @@ class TestDistance:
         assert distance_from_unitarity(np.zeros((2, 2))) == 1.0
 
     def test_scaled_unitary(self):
-        U = expm_2x2_hermitian(np.array([[0.3, 0.1], [0.1, -0.2]]), 2.0)
+        U = expm_hermitian(np.array([[0.3, 0.1], [0.1, -0.2]]), 2.0)
         assert distance_from_unitarity(0.5 * U) == pytest.approx(0.75, abs=1e-14)
 
 
