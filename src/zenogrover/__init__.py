@@ -28,11 +28,10 @@ _EXPORTS_BY_MODULE = {
     ),
     "stroboscopic": (
         "accumulate_process",
-        "approx_step_operator",
         "distance_from_unitarity",
-        "exact_step_operator",
         "final_distance",
         "run_protocol",
+        "step_operator",
     ),
     "fullspace": (
         "equivalence_suite",
@@ -43,7 +42,6 @@ _EXPORTS_BY_MODULE = {
         "continuous_heff",
         "damped_eigenanalysis",
         "extract_step_hamiltonian",
-        "integrate_effective",
         "unitary_approx_fidelity",
     ),
     "scaling": (

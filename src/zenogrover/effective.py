@@ -7,9 +7,9 @@ Three complementary views of the same dynamics:
 * the continuous-time generator valid for small non-unitarity offset tau,
   whose anti-Hermitian part damps only the residual direction, integrated
   with a fourth-order commutator-free exponential scheme into one propagator
-  per protocol step: the step source of the ``effective`` engine, which
-  ``stroboscopic.run_protocol`` runs like any other 2x2 engine, built from
-  the exact engine's closed-form exponential ``stroboscopic._expm_2x2``; and
+  per protocol step: the step source of the ``effective`` engine, built from
+  the exact engine's closed-form exponential ``stroboscopic._expm_2x2``, which
+  ``stroboscopic.run_protocol`` and ``step_operator`` take by name; and
 * the closed-form unitary approximation at tau = 0, where the fidelity is
   sin^2 of an accumulated rotation angle.
 
@@ -26,18 +26,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .model import DampedTwoLevelModel, RunRecord, SearchParams
-from .stroboscopic import StepSource, _expm_2x2, run_protocol
+from .model import DampedTwoLevelModel, SearchParams
+from .stroboscopic import StepSource, _expm_2x2
 
 __all__ = [
     "EffectiveHamiltonian",
     "extract_step_hamiltonian",
     "continuous_heff",
-    "integrate_effective",
     "unitary_approx_fidelity",
     "damped_eigenanalysis",
 ]
@@ -191,14 +190,6 @@ def _effective_source(params: SearchParams) -> StepSource:
     return fill
 
 
-def integrate_effective(params: SearchParams, n_max: Optional[int] = None) -> RunRecord:
-    """Propagate |s> under the continuous generator and record f, P and d at
-    every protocol step up to n_max (default: the search step count n_G):
-    the ``effective`` engine of :func:`stroboscopic.run_protocol`, whose steps
-    come from :func:`_effective_source`."""
-    return run_protocol(params, n_max, engine="effective")
-
-
 def unitary_approx_fidelity(n: int | np.ndarray, params: SearchParams) -> float | np.ndarray:
     """Closed-form fidelity of the tau = 0 process after the step or array
     of steps n:
@@ -206,13 +197,11 @@ def unitary_approx_fidelity(n: int | np.ndarray, params: SearchParams) -> float 
         f(n) = sin^2(A(n)),
         A(n) = (x dt / 2) (n + (sin(2 theta0 + 2 n dtheta) - sin(2 theta0)) / (2 dtheta)),
 
-    the angle x * integral of cos^2(theta(t)) dt; below |dtheta| = 1e-12 the
-    quotient takes its dtheta -> 0 limit n cos(2 theta0)."""
-    dtheta, twice0 = params.delta_theta, 2.0 * params.theta0
-    if abs(dtheta) < 1e-12:
-        osc = n * math.cos(twice0)
-    else:
-        osc = (np.sin(twice0 + 2.0 * n * dtheta) - math.sin(twice0)) / (2.0 * dtheta)
+    the angle x * integral of cos^2(theta(t)) dt.  The quotient is computed as
+    cos(2 theta0 + n dtheta) n sinc(n dtheta / pi), which cancels nothing and
+    is exact at dtheta = 0."""
+    dtheta = params.delta_theta
+    osc = n * np.cos(2.0 * params.theta0 + n * dtheta) * np.sinc(n * dtheta / math.pi)
     A = 0.5 * params.x * params.delta_t * (n + osc)
     return np.sin(A) ** 2
 

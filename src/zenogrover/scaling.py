@@ -93,6 +93,8 @@ def plan_scaled_instance(N1: float, k1: int, tau: float, N_r: float) -> ScalePla
     for name, value in (("N1", N1), ("tau", tau), ("N_r", N_r)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+    if not abs(tau) < math.pi / 2:  # make_params' rule: dt = pi k + tau
+        raise ValueError(f"|tau| must be < pi/2, got {tau!r}")
     if N_r < N1:
         raise ValueError(f"requested size N_r={N_r!r} is below the reference N1={N1!r}")
     k2 = _snapped_ceil(scaling_k2(N1, k1, tau, N_r))

@@ -22,14 +22,15 @@ Since C_j + S_j = cos(dtheta) and C_j - S_j = cos(theta_{j-1} + theta_j),
 which is two fixed matrices and one cosine array.  The engine accumulates the
 ordered product V(n) = V_n ... V_1 and reads from it the survival probability
 ||V(n)|s>||^2, the fidelity (from the direction of V(n)|s>) and the unitarity
-distance of the accumulated operator.
+distance of the accumulated operator; a run whose P or d overflows raises.
 
-One numpy kernel, :func:`_scan`, multiplies out the steps of every 2x2 engine
-of :data:`ENGINES`, the effective engine's step propagators included, and
-every one records the same columns.  An engine enters through its step
-source, ``fill(j, out)``, which writes V_j for every index of an integer
-array j into ``out`` of shape (2, 2, *j.shape); :func:`_step_source` is the
-one place that turns an engine name into a step source.  Inside chunks of
+The engine is a value: :func:`run_protocol` runs, and :func:`step_operator`
+returns one step of, any engine of :data:`ENGINES` or :data:`FAULTS`.  One
+numpy kernel, :func:`_scan`, multiplies out the steps of every 2x2 engine,
+the effective one included.  An engine enters through its step source,
+``fill(j, out)``, which writes V_j for every index of an integer array j of
+steps 1, ..., n into ``out`` of shape (2, 2, *j.shape); :func:`_step_source`
+is the one place that turns an engine name into a step source.  Inside chunks of
 _CHUNK steps, prefix products take _CHUNK - 1 rounds vectorised across the
 chunks (Blelloch, "Prefix sums and their applications", 1990); a carry, the
 product of all earlier chunks, joins them.  Each product is a matrix rescaled
@@ -52,8 +53,7 @@ from .model import RunRecord, SearchParams
 __all__ = [
     "ENGINES",
     "FAULTS",
-    "exact_step_operator",
-    "approx_step_operator",
+    "step_operator",
     "distance_from_unitarity",
     "accumulate_process",
     "run_protocol",
@@ -82,12 +82,6 @@ def _expm_2x2(a, t00, t01, w, t: float) -> np.ndarray:
     return np.exp(-1j * a * t) * np.array([[cw - diag, off], [off, cw + diag]])
 
 
-def distance_from_unitarity(V: np.ndarray) -> float:
-    """d(V) = 1 - Tr(V^dag V)/2: zero for unitary V, 1 - |c|^2 for c*U."""
-    V = np.asarray(V)
-    return 1.0 - 0.5 * float(np.sum(np.abs(V) ** 2))
-
-
 #: steps per chunk of the product kernel; chunk c holds steps cL+1, ..., (c+1)L
 _CHUNK = 64
 
@@ -96,8 +90,7 @@ _CHUNK = 64
 _BLOCK_STEPS = 1 << 14
 
 #: a step source: ``fill(j, out)`` writes V_j for every index of the integer
-#: array j into ``out`` of shape (2, 2, *j.shape); the kernel fills whole
-#: chunks, so j may run past the last step
+#: array j into ``out`` of shape (2, 2, *j.shape); j holds only steps 1, ..., n
 StepSource = Callable[[np.ndarray, np.ndarray], None]
 
 
@@ -108,8 +101,10 @@ def _step_source(params: SearchParams, engine: str) -> StepSource:
     The effective engine's steps come from its integrator.  Every other
     engine is a fixed pair (P, Q), and its steps are V_j = cos(dtheta) (P+Q)/2
     + cos(phi_j) (P-Q)/2: the block propagators for ``exact``, Q = P for its
-    fault ``hdown-sign``, the matrices of :func:`approx_step_operator` for
-    ``approx``."""
+    fault ``hdown-sign``, and for ``approx`` the small-overlap steps (x -> 0,
+    x dt << 1, global phase dropped; the regime is the caller's to keep) with
+    diagonal (C_j + S_j, C_j + S_j e^{-2i dt}) and both off-diagonal entries
+    i C_j x dt - (S_j x / 2)(1 - e^{-2i dt})."""
     if engine == "effective":
         from .effective import _effective_source  # exact runs never load it
 
@@ -153,27 +148,14 @@ def _step_source(params: SearchParams, engine: str) -> StepSource:
     return fill
 
 
-def _step_operator(j: int, params: SearchParams, engine: str) -> np.ndarray:
+def step_operator(j: int, params: SearchParams, engine: str = "exact") -> np.ndarray:
+    """The cycle operator V_j of ``engine`` (of :data:`ENGINES` or :data:`FAULTS`)
+    as a 2x2 matrix; for ``exact``, V_j = C_j exp(-i h_up dt) + S_j exp(-i h_dn dt)."""
     if j < 1:
         raise ValueError(f"step index must be >= 1, got {j}")
     V = np.empty((2, 2), dtype=complex)
     _step_source(params, engine)(np.array(j), V)
     return V
-
-
-def exact_step_operator(j: int, params: SearchParams) -> np.ndarray:
-    """The exact cycle operator V_j = C_j exp(-i h_up dt) + S_j exp(-i h_dn dt)."""
-    return _step_operator(j, params, "exact")
-
-
-def approx_step_operator(j: int, params: SearchParams) -> np.ndarray:
-    """Small-overlap cycle operator (x -> 0, x*dt << 1), global phase dropped.
-
-    Entries: diagonal (C_j + S_j, C_j + S_j e^{-2i dt}), off-diagonal
-    i C_j x dt - (S_j x / 2)(1 - e^{-2i dt}) on both sides.  Valid regime is
-    the caller's responsibility.
-    """
-    return _step_operator(j, params, "approx")
 
 
 def accumulate_process(
@@ -243,8 +225,10 @@ def _scan(fill: StepSource, n: int, record: bool) -> Iterator[tuple]:
         # M[i] holds the step entries V_i, then the prefix that ends there
         M = buf[: 4 * _CHUNK * c].reshape(_CHUNK, 2, 2, c)
         j = np.arange(first, first + _CHUNK * c).reshape(c, _CHUNK).T
-        fill(j, M.transpose(1, 2, 0, 3))
+        out = M.transpose(1, 2, 0, 3)
+        fill(j[:, :whole], out[..., :whole])
         if part:  # a short last chunk, padded with identities, which multiply exactly
+            fill(j[:part, whole], out[:, :, :part, whole])
             M[part:, :, :, whole] = np.eye(2)
         E = np.zeros((_CHUNK, c), dtype=np.int64)
         for i in range(1, _CHUNK):
@@ -280,6 +264,12 @@ def _distance(W: np.ndarray, g: np.ndarray) -> np.ndarray:
     return 1.0 - 0.5 * np.ldexp(frob, 2 * g)
 
 
+def distance_from_unitarity(V: np.ndarray) -> float:
+    """d(V) = 1 - Tr(V^dag V)/2: zero for unitary V, 1 - |c|^2 for c*U; the
+    ``distance`` column of a run records d(V(j))."""
+    return float(_distance(np.asarray(V), 0))
+
+
 def _propagate(params: SearchParams, fill: StepSource, n: int) -> tuple[np.ndarray, RunRecord]:
     """Multiply out the steps 1, ..., n that ``fill`` writes, and record
     V(j)|s> at every step: survival is its squared norm and fidelity is
@@ -290,7 +280,7 @@ def _propagate(params: SearchParams, fill: StepSource, n: int) -> tuple[np.ndarr
     fid, sur, dist = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     fid[0], sur[0], dist[0] = x * x, 1.0, 0.0
     j = 1
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for W, g in _scan(fill, n, record=True):
             k = min(g.size, n + 1 - j)
             dist[j : j + k] = _distance(W, g).ravel()[:k]
@@ -300,6 +290,9 @@ def _propagate(params: SearchParams, fill: StepSource, n: int) -> tuple[np.ndarr
             sur[j : j + k] = np.ldexp(norm, 2 * g).ravel()[:k]
             fid[j : j + k] = (amp0 / norm).ravel()[:k]  # nan: annihilated
             j += k
+    over = np.flatnonzero(np.isinf(sur) | np.isinf(dist))  # P <= ||V||_F^2: d goes first
+    if over.size:
+        raise ValueError(f"P or d overflows from step {over[0]} on: outside the engine's regime")
     last = np.unravel_index(k - 1, g.shape)  # step n
     V = W[(...,) + last] * np.ldexp(1.0, g[last])
     return V, RunRecord.from_series(params, fid, sur, np.isnan(fid), dist)

@@ -41,13 +41,24 @@ import workloads  # noqa: E402
 from workloads import Command  # noqa: E402
 
 #: commands beyond the benchmark's: both verify defaults, the approx engine,
-#: a deep-damping run at N = 4 and a long exact run
+#: a deep-damping run at N = 4, a long exact run, eq. 11 at a tiny rotation
+#: from theta0 != 0, the effective engine from theta0 != 0, and two inputs
+#: that must exit 2 (a plan at |tau| >= pi/2, an approx run that overflows)
 EXTRA = (
     Command("verify", ("verify",)),
     Command("verify_n4", tuple("verify --n 4 --steps 700".split())),
     Command("run_approx", tuple("run --engine approx --n 1e10 --dt 3.3416 --alpha 0.3".split())),
     Command("run_n4", tuple("run --n 4 --dt 3.141592653589793 --dtheta 0.01 --steps 3000".split())),
     Command("run_1e12", tuple("run --n 1e12 --k 1 --tau 0.2 --alpha 0.3".split())),
+    Command("eff_compare_theta0", tuple(
+        "eff-compare --n 1e6 --dt 1 --dtheta 2e-12 --theta0 0.3 --steps 1500".split())),
+    Command("run_effective_theta0", tuple(
+        "run --engine effective --n 1e6 --k 1 --tau 0.2 --alpha 0.3 --theta0 0.3".split())),
+    Command("plan_tau_2", tuple("plan-scale --n 1e6 --k 1 --tau 2 --nr 1e8".split()),
+            writes=False),
+    Command("run_approx_overflow", tuple(
+        "run --engine approx --n 4 --dt 3.141592653589793 --dtheta 0.01 --steps 3000".split()),
+            writes=False),
 )
 
 

@@ -14,7 +14,6 @@ import scipy.linalg
 from zenogrover.cli import RunConfig, run_config
 from zenogrover.effective import (
     extract_step_hamiltonian,
-    integrate_effective,
     unitary_approx_fidelity,
 )
 from zenogrover.fullspace import default_equivalence_cases, equivalence_suite
@@ -25,7 +24,7 @@ from zenogrover.scaling import (
     plan_scaled_instance,
     quality_factor_sweep,
 )
-from zenogrover.stroboscopic import exact_step_operator, final_distance, run_protocol
+from zenogrover.stroboscopic import final_distance, run_protocol, step_operator
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -173,7 +172,7 @@ def test_criterion_7_effective_model():
         dt_hi = min(25.0, 0.9 * math.pi * math.sqrt(N) / 2)
         dt = rng.uniform(0.5, dt_hi)
         p = make_params(N, dt, delta_theta=rng.uniform(0.0, 0.05))
-        op = exact_step_operator(int(rng.integers(1, 10_000)), p)
+        op = step_operator(int(rng.integers(1, 10_000)), p)
         h = extract_step_hamiltonian(op, p.delta_t)
         back = scipy.linalg.expm(-1j * h.matrix * p.delta_t)
         worst_rt = max(worst_rt, float(np.max(np.abs(back - op))))
@@ -219,7 +218,7 @@ def test_criterion_8_survival_monotonicity():
         n = min(p.n_G, 300)
         record = run_protocol(p, n)
         worst_engine = max(worst_engine, float(np.max(np.diff(record.survival))))
-        eff = integrate_effective(p, n_max=min(p.n_G, 100))
+        eff = run_protocol(p, min(p.n_G, 100), engine="effective")
         worst_eff = max(worst_eff, float(np.max(np.diff(eff.survival))))
     ok = worst_engine <= 1e-12 and worst_eff <= 1e-12
     _report(

@@ -143,10 +143,16 @@ class TestBadInput:
             # the approx engine has no detuning term, so eps cannot be applied
             ["run", "--engine", "approx", "--n", "1e6", "--k", "1", "--tau", "0.2",
              "--alpha", "0.3", "--eps", "0.5"],
+            # no engine runs |tau| >= pi/2, so no plan may call it valid
+            ["plan-scale", "--n", "1e6", "--k", "1", "--tau", "2", "--nr", "1e8"],
+            # the approx engine far outside x dt << 1: P = inf from step 1277 on
+            ["run", "--engine", "approx", "--n", "4", "--dt", "3.141592653589793",
+             "--dtheta", "0.01", "--steps", "3000"],
         ],
         ids=["alpha-nan", "eps-inf", "n-inf", "unwritable-out", "verify-n-inf",
              "plan-nr-inf", "sweep-dt-steps-0", "jobs-0", "verify-n-non-integer",
-             "record-too-large", "dt-with-k-tau", "dtheta-with-alpha", "approx-eps"],
+             "record-too-large", "dt-with-k-tau", "dtheta-with-alpha", "approx-eps",
+             "plan-tau-too-large", "approx-overflow"],
     )
     def test_exits_2_with_message(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setenv("ZENOGROVER_OUTDIR", str(tmp_path))

@@ -11,12 +11,11 @@ from zenogrover.effective import (
     continuous_heff,
     damped_eigenanalysis,
     extract_step_hamiltonian,
-    integrate_effective,
     unitary_approx_fidelity,
 )
 from zenogrover import effective, stroboscopic
 from zenogrover.model import make_params, overlap_x
-from zenogrover.stroboscopic import exact_step_operator, run_protocol
+from zenogrover.stroboscopic import run_protocol, step_operator
 from test_stroboscopic import expm_hermitian, subspace_basis_matrices
 
 
@@ -43,14 +42,14 @@ class TestExtract:
                 continue
             p = make_params(N, dt, delta_theta=rng.uniform(0, 0.05))
             j = int(rng.integers(1, 5000))
-            op = exact_step_operator(j, p)
+            op = step_operator(j, p)
             h = extract_step_hamiltonian(op, p.delta_t)
             back = scipy.linalg.expm(-1j * h.matrix * p.delta_t)
             assert np.max(np.abs(back - op)) < 1e-10
 
     def test_split_parts_are_hermitian(self):
         p = make_params(1e4, math.pi + 0.3, delta_theta=0.02)
-        h = extract_step_hamiltonian(exact_step_operator(3, p), p.delta_t)
+        h = extract_step_hamiltonian(step_operator(3, p), p.delta_t)
         np.testing.assert_allclose(
             h.hermitian_part, h.hermitian_part.conj().T, atol=1e-12
         )
@@ -121,13 +120,13 @@ class TestIntegrate:
         # deviations from sin^2(x t) are O(1/N); N must be large enough to
         # leave margin inside the tolerance
         p = make_params(1e8, k=1, tau=0.0, delta_theta=0.0)
-        record = integrate_effective(p)
+        record = run_protocol(p, engine="effective")
         for i, t in enumerate(record.times):
             assert abs(record.fidelity[i] - math.sin(p.x * t) ** 2) < 1e-6
 
     def test_survival_non_increasing(self):
         p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
-        record = integrate_effective(p)
+        record = run_protocol(p, engine="effective")
         assert np.all(np.diff(record.survival) <= 1e-12)
 
     def test_zero_offset_dynamics_match_accumulated_angle_form(self):
@@ -135,13 +134,13 @@ class TestIntegrate:
         # A(t) = (x/2)(t + sin(2 a x t)/(2 a x)); its fidelity must match
         # the closed-form sin^2(A(n)) across a full oscillation
         p = make_params(1e12, k=2000, tau=0.0, alpha=0.3)
-        record = integrate_effective(p, n_max=2 * p.n_G)
+        record = run_protocol(p, 2 * p.n_G, engine="effective")
         assert np.max(np.abs(record.fidelity - unitary_approx_fidelity(record.steps, p))) < 1e-4
 
     def test_saturation_regime(self):
         # sqrt(x dt) ~ 0.06 << tau = 0.2 << 1: the target is an attractor
         p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
-        record = integrate_effective(p, n_max=2 * p.n_G)
+        record = run_protocol(p, 2 * p.n_G, engine="effective")
         assert record.fidelity[-1] > 0.95
         tail = record.fidelity[record.steps >= int(1.5 * p.n_G)]
         assert np.all(np.diff(tail) >= -1e-6)
@@ -155,7 +154,7 @@ class TestIntegrate:
             float(N), k=1063662, tau=0.2, alpha=0.3, epsilon=2 * x * math.sqrt(3)
         )
         exact = run_protocol(p)
-        eff = integrate_effective(p)
+        eff = run_protocol(p, engine="effective")
         n = min(len(exact.fidelity), len(eff.fidelity))
         dev = np.abs(exact.fidelity[:n] - eff.fidelity[:n])
         assert dev.max() <= 0.1
@@ -165,7 +164,7 @@ class TestIntegrate:
     def test_rejects_bad_horizon(self):
         p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
         with pytest.raises(ValueError):
-            integrate_effective(p, n_max=0)
+            run_protocol(p, 0, engine="effective")
 
 
 def _rk4_reference(p, n, per_step=400):
@@ -222,7 +221,7 @@ class TestFineStepReference:
     def test_matches_fine_step_reference(self, N, k, tau, alpha, eps, steps):
         p = make_params(N, k=k, tau=tau, alpha=alpha, epsilon=eps)
         n = steps if steps is not None else p.n_G
-        record = integrate_effective(p, n_max=n)
+        record = run_protocol(p, n, engine="effective")
         f_ref, P_ref = _rk4_reference(p, n)
         assert np.max(np.abs(record.fidelity - f_ref)) <= 1e-10
         assert np.max(np.abs(record.survival - P_ref)) <= 1e-10
@@ -231,10 +230,10 @@ class TestFineStepReference:
         # 11 substeps per protocol step: blocks of 40 substeps hold 3 steps,
         # and kernel batches of one chunk make every batch start mid-run
         p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
-        whole = integrate_effective(p)
+        whole = run_protocol(p, engine="effective")
         monkeypatch.setattr(effective, "_SUBSTEPS_PER_BLOCK", 40)
         monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", 40)
-        blocked = integrate_effective(p)
+        blocked = run_protocol(p, engine="effective")
         for column in ("times", "fidelity", "survival"):
             assert np.array_equal(getattr(whole, column), getattr(blocked, column))
 
@@ -244,7 +243,7 @@ class TestFineStepReference:
         p = make_params(1e8, k=1, tau=0.2, alpha=0.3)
         tracemalloc.start()
         try:
-            integrate_effective(p, 4700)
+            run_protocol(p, 4700, engine="effective")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -265,6 +264,24 @@ class TestUnitaryApprox:
         assert unitary_approx_fidelity(500, p1) == pytest.approx(
             unitary_approx_fidelity(500, p0), abs=1e-9
         )
+
+    def test_matches_high_precision_reference(self):
+        # 40-digit sin^2(A(n)) from the same double inputs; a difference of
+        # sines lost up to 1.3e-8 here at theta0 = -0.6, dtheta = 2e-12
+        import mpmath
+
+        n = np.arange(1, 1501, 7)
+        for theta0 in (0.3, 0.0, -0.6):
+            for dtheta in (0.0, 2e-12, 1e-10, 1e-8, 1e-4):
+                p = make_params(1e6, 1.0, delta_theta=dtheta, theta0=theta0)
+                got = unitary_approx_fidelity(n, p)
+                with mpmath.workdps(40):
+                    x, d, t2 = mpmath.mpf(p.x), mpmath.mpf(dtheta), 2 * mpmath.mpf(theta0)
+                    for m, f in zip(n.tolist(), got):
+                        osc = (m * mpmath.cos(t2) if dtheta == 0.0 else
+                               (mpmath.sin(t2 + 2 * m * d) - mpmath.sin(t2)) / (2 * d))
+                        ref = mpmath.sin(x * p.delta_t / 2 * (m + osc)) ** 2
+                        assert abs(f - float(ref)) <= 1e-14, (theta0, dtheta, m)
 
     def test_matched_rotation_doubles_search_time(self):
         # dtheta/dt = x: first fidelity maximum at t = pi sqrt(N)

@@ -18,11 +18,10 @@ from zenogrover.stroboscopic import (
     ENGINES,
     _expm_2x2,
     accumulate_process,
-    approx_step_operator,
     distance_from_unitarity,
-    exact_step_operator,
     final_distance,
     run_protocol,
+    step_operator,
 )
 
 
@@ -230,12 +229,6 @@ class TestKernelMatchesSequentialLoop:
         assert np.array_equal(M, ref)
 
 
-def _lone_step(source, j):
-    V = np.empty((2, 2), dtype=complex)
-    source(np.array(j), V)
-    return V
-
-
 class TestStepSource:
     @pytest.mark.parametrize("engine", ["exact", "approx", "hdown-sign", "effective"])
     def test_writes_every_index(self, engine, monkeypatch):
@@ -245,35 +238,54 @@ class TestStepSource:
         monkeypatch.setattr(effective, "_SUBSTEPS_PER_BLOCK", 33)
         p = make_params(1e6, k=1, tau=0.2, alpha=0.3, theta0=0.3)
         source = stroboscopic._step_source(p, engine)
-        step = {"exact": exact_step_operator, "approx": approx_step_operator}.get(
-            engine, lambda j, p: _lone_step(source, j)
-        )
         for j in (np.array(101), np.array([7, 1, 300, 2, 65]),
                   np.arange(101, 113).reshape(3, 4).T):
             out = np.moveaxis(np.empty((*j.shape, 2, 2), dtype=complex), (-2, -1), (0, 1))
             source(j, out)
             for at in np.ndindex(j.shape):
-                assert np.array_equal(out[(...,) + at], step(int(j[at]), p))
+                assert np.array_equal(out[(...,) + at], step_operator(int(j[at]), p, engine))
         if engine == "hdown-sign":
             # Q = P: every step is the up-block propagator scaled by cos(dtheta)
             P = expm_hermitian(subspace_basis_matrices(p)[0], p.delta_t)
-            np.testing.assert_allclose(step(5, p), math.cos(p.delta_theta) * P, atol=1e-15)
+            np.testing.assert_allclose(
+                step_operator(5, p, engine), math.cos(p.delta_theta) * P, atol=1e-15
+            )
+
+
+    @pytest.mark.parametrize("block", [stroboscopic._BLOCK_STEPS, 128])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 470])
+    def test_kernel_asks_for_steps_one_to_n_once(self, n, block, monkeypatch):
+        # no pad index past n reaches the source, in one batch or in several
+        monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", block)
+        p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
+        source, seen = stroboscopic._step_source(p, "exact"), []
+
+        def recording(j, out):
+            seen.extend(j.ravel().tolist())
+            source(j, out)
+
+        stroboscopic._propagate(p, recording, n)
+        assert sorted(seen) == list(range(1, n + 1))
 
 
 class TestEngineDispatch:
     def test_effective_is_a_protocol_engine(self):
         p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
         got = run_protocol(p, 300, "effective")
-        ref = effective.integrate_effective(p, 300)
-        assert np.array_equal(got.fidelity, ref.fidelity)
-        assert np.array_equal(got.survival, ref.survival)
+        # reference: |s> through the engine's step operators one at a time
+        psi = np.array([p.x, math.sqrt(1 - p.x**2)], dtype=complex)
+        for j in range(1, 301):
+            psi = step_operator(j, p, "effective") @ psi
+            norm = float(np.vdot(psi, psi).real)
+            assert got.survival[j] == pytest.approx(norm, rel=1e-12)
+            assert got.fidelity[j] == pytest.approx(abs(psi[0]) ** 2 / norm, abs=1e-12)
 
     def test_effective_records_the_distance(self):
         p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
         V, record = accumulate_process(p, 300, "effective")
         assert record.distance[0] == 0.0
         assert np.all(np.isfinite(record.distance))
-        assert record.distance[-1] == pytest.approx(distance_from_unitarity(V), abs=1e-14)
+        assert record.distance[-1] == distance_from_unitarity(V)
 
     def test_every_engine_honours_theta0(self):
         # theta_j = theta0 + j dtheta in every engine: at theta0 = 0.3 the
@@ -382,7 +394,7 @@ class TestStepOperators:
     def test_no_rotation_is_unitary_evolution(self):
         p = make_params(1e6, 1.0, delta_theta=0.0)
         h_up, h_dn = subspace_basis_matrices(p)
-        op = exact_step_operator(5, p)
+        op = step_operator(5, p)
         expected = expm_hermitian(h_up, p.delta_t)
         np.testing.assert_allclose(op, expected, atol=1e-15)
         assert abs(distance_from_unitarity(op)) < 1e-12
@@ -390,7 +402,7 @@ class TestStepOperators:
     def test_orthogonal_postselection_annihilates(self):
         # theta_0 = 0, theta_1 = pi/2: the coupling never flips the ancilla
         p = make_params(1e4, 1.0, delta_theta=math.pi / 2)
-        op = exact_step_operator(1, p)
+        op = step_operator(1, p)
         np.testing.assert_allclose(op, np.zeros((2, 2)), atol=1e-16)
         assert distance_from_unitarity(op) == pytest.approx(1.0)
 
@@ -405,50 +417,49 @@ class TestStepOperators:
         for j in (1, 2, 77, 5000):
             c, s = cycle_weights(j, p)
             ref = c * E_up + s * E_dn
-            np.testing.assert_allclose(exact_step_operator(j, p), ref, rtol=0, atol=4e-16)
+            np.testing.assert_allclose(step_operator(j, p), ref, rtol=0, atol=4e-16)
             x, dt = p.x, p.delta_t
             off = 1j * c * x * dt - 0.5 * s * x * (1 - damp)
             ref = np.array([[c + s, off], [off, c + s * damp]])
-            np.testing.assert_allclose(approx_step_operator(j, p), ref, rtol=0, atol=4e-16)
+            np.testing.assert_allclose(step_operator(j, p, "approx"), ref, rtol=0, atol=4e-16)
 
     def test_near_unitary_at_pi_multiples(self):
         # dt = pi k: each cycle is close to cos(dtheta) times a unitary
         p = make_params(1e10, math.pi, delta_theta=1e-3)
-        op = exact_step_operator(3, p)
+        op = step_operator(3, p)
         bound = 1 - math.cos(p.delta_theta) ** 2 + 10 * p.x
         assert 0 <= distance_from_unitarity(op) <= bound
 
     def test_step_index_validation(self):
         p = make_params(1e4, 1.0)
-        with pytest.raises(ValueError):
-            exact_step_operator(0, p)
-        with pytest.raises(ValueError):
-            approx_step_operator(0, p)
+        for engine in (*ENGINES, *stroboscopic.FAULTS):
+            with pytest.raises(ValueError):
+                step_operator(0, p, engine)
 
 
 class TestApproxOperator:
     def test_no_rotation_is_identity_like(self):
         # C=1, S=0: unit diagonal plus the first-order search rotation i x dt
         p = make_params(1e10, 2.0, delta_theta=0.0)
-        op = approx_step_operator(1, p)
+        op = step_operator(1, p, "approx")
         np.testing.assert_allclose(np.diag(op), [1.0, 1.0], atol=1e-15)
         assert op[0, 1] == pytest.approx(1j * p.x * p.delta_t, abs=1e-15)
-        exact = exact_step_operator(1, p)
+        exact = step_operator(1, p)
         aligned = align_global_phase(exact, op)
         assert np.linalg.norm(exact - aligned) < 1e-8
 
     def test_pi_step_kills_residual_term(self):
         # at dt = pi the 1 - e^{-2i dt} factor vanishes: off-diagonal is i C x pi
         p = make_params(1e10, math.pi, delta_theta=1e-4)
-        op = approx_step_operator(7, p)
+        op = step_operator(7, p, "approx")
         expected_off = 1j * cycle_weights(7, p)[0] * p.x * math.pi
         assert abs(op[0, 1] - expected_off) < 1e-12 * abs(expected_off) + 1e-18
 
     def test_matches_exact_engine_in_regime(self):
         # frozen tolerance from the exact-engine oracle
         p = make_params(1e10, math.pi + 0.2, delta_theta=3e-6 * (math.pi + 0.2))
-        exact = exact_step_operator(100, p)
-        approx = align_global_phase(exact, approx_step_operator(100, p))
+        exact = step_operator(100, p)
+        approx = align_global_phase(exact, step_operator(100, p, "approx"))
         assert np.linalg.norm(exact - approx) < 1e-6
 
 
@@ -470,7 +481,7 @@ class TestAccumulate:
         for n in (2, 5, 17):
             V_n, _ = accumulate_process(p, n)
             V_prev, _ = accumulate_process(p, n - 1) if n > 1 else (np.eye(2), None)
-            step = exact_step_operator(n, p)
+            step = step_operator(n, p)
             np.testing.assert_allclose(V_n, step @ V_prev, atol=1e-14)
 
     def test_survival_three_ways(self):
@@ -484,7 +495,7 @@ class TestAccumulate:
         psi = s.copy()
         acc = 1.0
         for j in range(1, n + 1):
-            psi = exact_step_operator(j, p) @ psi
+            psi = step_operator(j, p) @ psi
             cond = float(np.vdot(psi, psi).real)
             acc *= cond
             psi /= math.sqrt(cond)
