@@ -45,10 +45,6 @@ __all__ = ["RunConfig", "cmd_run", "cmd_sweep_dt", "cmd_sweep_eps",
 OUTDIR_ENV = "ZENOGROVER_OUTDIR"
 
 
-class ConfigError(ValueError):
-    """Invalid or inconsistent configuration (exit code 2)."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved configuration; every field participates in the output header."""
@@ -77,8 +73,6 @@ class RunConfig:
 
     def to_dict(self, include_execution: bool = False) -> dict:
         d = asdict(self)
-        if self.grid is not None:
-            d["grid"] = list(self.grid)
         if not include_execution:
             for key in self.EXECUTION_FIELDS:
                 del d[key]
@@ -93,14 +87,11 @@ class RunConfig:
 
     def build_params(self) -> SearchParams:
         if self.N is None:
-            raise ConfigError("missing database size (--n)")
-        try:
-            return make_params(
-                self.N, self.delta_t, k=self.k, tau=self.tau, alpha=self.alpha,
-                delta_theta=self.delta_theta, theta0=self.theta0, epsilon=self.epsilon,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ValueError("missing database size (--n)")
+        return make_params(
+            self.N, self.delta_t, k=self.k, tau=self.tau, alpha=self.alpha,
+            delta_theta=self.delta_theta, theta0=self.theta0, epsilon=self.epsilon,
+        )
 
 
 def _fmt(v) -> str:
@@ -109,13 +100,6 @@ def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return format(float(v), ".17g")  # nan, inf and -inf as they are
-
-
-def _resolve_out(config: RunConfig) -> Path:
-    if config.out is not None:
-        return Path(config.out)
-    outdir = Path(os.environ.get(OUTDIR_ENV, "."))
-    return outdir / f"{config.mode}.csv"
 
 
 def _sidecar(path: Path) -> Path:
@@ -150,11 +134,10 @@ def _write_table(
     columns: dict[str, Sequence],
     summary: dict,
 ) -> Path:
-    """Write the table and its sidecar.  Rows go out in blocks of
-    _ROWS_PER_WRITE, each row one %-format, so no full text of the table is
-    built; the bytes are those of :func:`_fmt` on every cell."""
-    path = _resolve_out(config)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write the table to ``config.out`` and its sidecar next to it.  Rows go
+    out in blocks of _ROWS_PER_WRITE, each row one %-format, so no full text
+    of the table is built; the bytes are those of :func:`_fmt` on every cell."""
+    path = Path(config.out)
     cfg = config.to_dict()
     header = [f"# zenogrover version={__version__}"]
     header += [f"# {key}={json.dumps(cfg[key])}" for key in sorted(cfg)]
@@ -213,7 +196,7 @@ def _dt_point(config: RunConfig) -> tuple[float, int, float]:
 def cmd_sweep_dt(config: RunConfig) -> int:
     """Distance from unitarity of the accumulated process across a dt grid."""
     if config.grid is None:
-        raise ConfigError("sweep-dt needs --grid lo:hi:count")
+        raise ValueError("sweep-dt needs --grid lo:hi:count")
     work = [replace(config, delta_t=float(dt)) for dt in np.linspace(*config.grid)]
     dts, ns, ds = zip(*parallel_map(_dt_point, work, config.jobs))
     imin = int(np.argmin(ds))
@@ -232,7 +215,7 @@ def cmd_sweep_eps(config: RunConfig) -> int:
     from .scaling import quality_factor_sweep
 
     if config.grid is None:
-        raise ConfigError("sweep-eps needs --grid lo:hi:count (in units of x)")
+        raise ValueError("sweep-eps needs --grid lo:hi:count (in units of x)")
     params = config.build_params()
     reports = quality_factor_sweep(params, np.linspace(*config.grid), jobs=config.jobs)
     best = max(
@@ -269,13 +252,12 @@ def cmd_plan_scale(config: RunConfig) -> int:
     from .scaling import plan_scaled_instance, scaled_process_check
 
     if config.N is None or config.k is None or config.tau is None:
-        raise ConfigError("plan-scale needs --n (reference N1), --k and --tau")
+        raise ValueError("plan-scale needs --n (reference N1), --k and --tau")
     if config.N_requested is None:
-        raise ConfigError("plan-scale needs --nr (requested size)")
-    try:
-        plan = plan_scaled_instance(config.N, config.k, config.tau, config.N_requested)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError("plan-scale needs --nr (requested size)")
+    if config.alpha is not None and not config.check:
+        raise ValueError("plan-scale applies --alpha only with --check")
+    plan = plan_scaled_instance(config.N, config.k, config.tau, config.N_requested)
 
     print(f"N2 = {plan.N2}")
     print(f"k2 = {plan.k2}")
@@ -335,11 +317,11 @@ def cmd_verify(config: RunConfig) -> int:
         cases = default_equivalence_cases(steps=steps)
     else:
         if not (2 <= config.N <= MAX_FULLSPACE_N):
-            raise ConfigError(
+            raise ValueError(
                 f"verify supports 2 <= N <= {MAX_FULLSPACE_N}, got {config.N!r}"
             )
         if not float(config.N).is_integer():
-            raise ConfigError(f"verify needs an integer N, got {config.N!r}")
+            raise ValueError(f"verify needs an integer N, got {config.N!r}")
         cases = default_equivalence_cases(sizes=(int(config.N),), steps=steps)
 
     results = equivalence_suite(cases, config.inject_fault or "exact", config.jobs)
@@ -498,21 +480,23 @@ _OUT_OPTIONAL = ("plan-scale", "verify")
 
 
 def run_config(config: RunConfig) -> int:
-    """Dispatch a resolved config; returns the process exit code.  The
-    output directory is made before the command runs, so an output path
-    whose directory cannot be made, or whose table or sidecar names a
-    directory, exits 2 before any work is done."""
+    """Dispatch a resolved config; returns the process exit code.  The output
+    path is resolved into ``config.out`` and its directory made before the
+    command runs, so a path whose directory cannot be made, or whose table or
+    sidecar names a directory, exits 2 before any work is done."""
     try:
         if config.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {config.jobs}")
+            raise ValueError(f"--jobs must be >= 1, got {config.jobs}")
         if config.out is not None or config.mode not in _OUT_OPTIONAL:
-            path = _resolve_out(config)
+            path = (Path(config.out) if config.out is not None
+                    else Path(os.environ.get(OUTDIR_ENV, "."), f"{config.mode}.csv"))
             path.parent.mkdir(parents=True, exist_ok=True)
             for target in (path, _sidecar(path)):
                 if target.is_dir():  # the message that opening it would give
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+            config = replace(config, out=str(path))
         return _COMMANDS[config.mode][0](config)
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # MemoryError: a step count too large to record, e.g. N = 1e30 at k = 1
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -126,14 +126,27 @@ def continuous_heff(t: float, params: SearchParams) -> EffectiveHamiltonian:
     return EffectiveHamiltonian(hermitian_part=A, antihermitian_part=B)
 
 
+#: substeps per block of step propagators that the effective engine builds
+#: at once; a step needs at most this many, so it bounds the engine's memory
+#: for any step count
+_SUBSTEPS_PER_BLOCK = 4096
+
+
 def _default_substeps(params: SearchParams) -> int:
-    """Substeps per protocol step so that h <= min(dt, 1/(50 a x),
-    0.1 dt / (1 + 2 tau^2/dt))."""
+    """Substeps per protocol step so that h <= min(1/(50 |a x|),
+    0.1 dt / (1 + 2 tau^2/dt)).  A step that needs more than
+    _SUBSTEPS_PER_BLOCK of them, |dtheta| above about
+    _SUBSTEPS_PER_BLOCK / 50 rad, is rejected."""
     dt = params.delta_t
     h_max = 0.1 * dt / (1.0 + 2.0 * params.tau**2 / dt)  # always below dt
-    ax = params.alpha * params.x
+    ax = abs(params.alpha * params.x)
     if ax > 0:
         h_max = min(h_max, 1.0 / (50.0 * ax))
+    if not dt <= _SUBSTEPS_PER_BLOCK * h_max:
+        raise ValueError(
+            f"the effective engine runs |dtheta| <= {_SUBSTEPS_PER_BLOCK / 50:g} rad "
+            f"per step ({_SUBSTEPS_PER_BLOCK} substeps), got dtheta={params.delta_theta!r}"
+        )
     return max(1, int(math.ceil(dt / h_max)))
 
 
@@ -148,11 +161,6 @@ def _ordered_product(F: np.ndarray) -> np.ndarray:
     return F[..., 0]
 
 
-#: substeps per block of step propagators that the effective engine builds
-#: at once; bounds its memory for any step count
-_SUBSTEPS_PER_BLOCK = 4096
-
-
 def _effective_source(params: SearchParams) -> StepSource:
     """The propagators of the protocol steps under the continuous generator,
     as a step source of the stroboscopic product kernel.
@@ -162,7 +170,7 @@ def _effective_source(params: SearchParams) -> StepSource:
     with A = -iH at the Gauss nodes 1/2 -+ sqrt(3)/6 of the substep and
     w = 1/4 -+ sqrt(3)/6 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
     (2009); Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011)).  Steps
-    are built in blocks of max(1, _SUBSTEPS_PER_BLOCK // m).
+    are built in blocks of _SUBSTEPS_PER_BLOCK // m.
     """
     m = _default_substeps(params)
     h = params.delta_t / m
@@ -170,7 +178,7 @@ def _effective_source(params: SearchParams) -> StepSource:
     # the weights (w2, w1) of the early and (w1, w2) of the late exponential
     # of each substep, on a last axis
     u, v = np.array([0.25 + r3, 0.25 - r3]), np.array([0.25 - r3, 0.25 + r3])
-    per_block = max(1, _SUBSTEPS_PER_BLOCK // m)
+    per_block = _SUBSTEPS_PER_BLOCK // m
 
     def fill(j: np.ndarray, out: np.ndarray) -> None:
         shape = j.shape or (1,)  # a 0-d index array is one step

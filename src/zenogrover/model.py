@@ -44,7 +44,10 @@ def grover_step_count(N: float, delta_t: float) -> int:
     n_G = floor(pi*sqrt(N) / (2*delta_t)); the readout time n_G*delta_t is the
     last whole step not exceeding pi*sqrt(N)/2.
     """
-    return int(math.floor(math.pi * math.sqrt(N) / (2.0 * delta_t)))
+    quotient = math.pi * math.sqrt(N) / (2.0 * delta_t)
+    if not math.isfinite(quotient):
+        raise ValueError(f"the step count pi sqrt(N)/(2 dt) overflows at N={N!r}, dt={delta_t!r}")
+    return int(math.floor(quotient))
 
 
 def split_step_duration(delta_t: float) -> tuple[int, float]:

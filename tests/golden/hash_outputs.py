@@ -42,8 +42,10 @@ from workloads import Command  # noqa: E402
 
 #: commands beyond the benchmark's: both verify defaults, the approx engine,
 #: a deep-damping run at N = 4, a long exact run, eq. 11 at a tiny rotation
-#: from theta0 != 0, the effective engine from theta0 != 0, and two inputs
-#: that must exit 2 (a plan at |tau| >= pi/2, an approx run that overflows)
+#: from theta0 != 0, the effective engine from theta0 != 0 and at -+dtheta,
+#: and five inputs that must exit 2 (a plan at |tau| >= pi/2, an approx run
+#: that overflows, a step count that overflows, an effective step beyond its
+#: substep limit, a plan given --alpha without --check)
 EXTRA = (
     Command("verify", ("verify",)),
     Command("verify_n4", tuple("verify --n 4 --steps 700".split())),
@@ -59,6 +61,16 @@ EXTRA = (
     Command("run_approx_overflow", tuple(
         "run --engine approx --n 4 --dt 3.141592653589793 --dtheta 0.01 --steps 3000".split()),
             writes=False),
+    Command("run_dt_overflow", tuple("run --n 1e6 --dt 1e-320 --steps 3".split()),
+            writes=False),
+    Command("eff_compare_alpha_huge", tuple(
+        "eff-compare --n 1e6 --k 1 --tau 0.2 --alpha 1e300 --steps 3".split()), writes=False),
+    Command("plan_alpha_no_check", tuple(
+        "plan-scale --n 1e6 --k 1 --tau 0.2 --nr 1e8 --alpha 0.5".split()), writes=False),
+    Command("run_effective_dtheta_neg", tuple(
+        "run --engine effective --n 1e4 --k 1 --tau 0.2 --dtheta -0.5 --steps 60".split())),
+    Command("run_effective_dtheta_pos", tuple(
+        "run --engine effective --n 1e4 --k 1 --tau 0.2 --dtheta 0.5 --steps 60".split())),
 )
 
 

@@ -148,18 +148,33 @@ class TestBadInput:
             # the approx engine far outside x dt << 1: P = inf from step 1277 on
             ["run", "--engine", "approx", "--n", "4", "--dt", "3.141592653589793",
              "--dtheta", "0.01", "--steps", "3000"],
+            # pi sqrt(N)/(2 dt) overflows, so no step count n_G exists
+            ["run", "--n", "1e6", "--dt", "1e-320", "--steps", "3"],
+            ["sweep-eps", "--n", "1e300", "--dt", "1e-300", "--grid", "0:1:2"],
+            # the effective engine runs at most 4096 substeps per step
+            ["eff-compare", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "1e300",
+             "--steps", "3"],
+            ["run", "--engine", "effective", "--n", "1e6", "--dt", "1e-300",
+             "--dtheta", "1e300", "--steps", "3"],
+            ["run", "--engine", "effective", "--n", "1e6", "--k", "1", "--tau", "0.2",
+             "--dtheta", "1e5", "--steps", "3"],
+            # without --check no process runs, so alpha would not be applied
+            ["plan-scale", "--n", "1e6", "--k", "1", "--tau", "0.2", "--nr", "1e8",
+             "--alpha", "0.5", "--out", "{tmp}/p.csv"],
         ],
         ids=["alpha-nan", "eps-inf", "n-inf", "unwritable-out", "verify-n-inf",
              "plan-nr-inf", "sweep-dt-steps-0", "jobs-0", "verify-n-non-integer",
              "record-too-large", "dt-with-k-tau", "dtheta-with-alpha", "approx-eps",
-             "plan-tau-too-large", "approx-overflow"],
+             "plan-tau-too-large", "approx-overflow", "step-count-overflow-dt",
+             "step-count-overflow-n", "effective-alpha-huge", "effective-rate-inf",
+             "effective-dtheta-1e5", "plan-alpha-without-check"],
     )
     def test_exits_2_with_message(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setenv("ZENOGROVER_OUTDIR", str(tmp_path))
         # a regular file where the output directory should be
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        assert main([a.format(blocker=blocker) for a in argv]) == 2
+        assert main([a.format(blocker=blocker, tmp=tmp_path) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(

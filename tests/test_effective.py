@@ -161,6 +161,19 @@ class TestIntegrate:
         # at the readout step the two descriptions agree to ~0.06
         assert dev[-1] <= 0.06
 
+    @pytest.mark.parametrize("k, tau", [(1, 0.2), (3, -0.4)])
+    @pytest.mark.parametrize("dtheta", [0.003, 0.5, 2.0])
+    def test_mirrored_rotation_gives_the_same_record(self, k, tau, dtheta):
+        # at theta0 = 0 the generator depends on cos^2 and sin^2 of the angle
+        # only, so -dtheta must resolve, and run, exactly as +dtheta
+        forward, backward = (
+            run_protocol(make_params(1e4, k=k, tau=tau, delta_theta=s * dtheta), 60,
+                         engine="effective")
+            for s in (1.0, -1.0)
+        )
+        for column in ("fidelity", "survival", "distance"):
+            assert np.array_equal(getattr(forward, column), getattr(backward, column))
+
     def test_rejects_bad_horizon(self):
         p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
         with pytest.raises(ValueError):
