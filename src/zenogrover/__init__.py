@@ -27,9 +27,8 @@ _EXPORTS_BY_MODULE = {
         "parallel_map",
     ),
     "stroboscopic": (
-        "accumulate_process",
         "distance_from_unitarity",
-        "final_distance",
+        "final_readout",
         "run_protocol",
         "step_operator",
     ),

@@ -33,7 +33,7 @@ from .model import (
     make_params,
     parallel_map,
 )
-from .stroboscopic import ENGINES, FAULTS, final_distance, run_protocol
+from .stroboscopic import ENGINES, FAULTS, final_readout, run_protocol
 
 # every command runs the modules above; the effective engine, the full-space
 # oracle and the scaling planner are imported inside the commands that call
@@ -190,7 +190,7 @@ def cmd_run(config: RunConfig) -> int:
 def _dt_point(config: RunConfig) -> tuple[float, int, float]:
     params = config.build_params()
     n = params.step_count(config.steps)
-    return config.delta_t, n, final_distance(params, n)
+    return config.delta_t, n, final_readout(params, n)[2]
 
 
 def cmd_sweep_dt(config: RunConfig) -> int:

@@ -40,7 +40,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .model import EQUIVALENCE_STEPS, RunRecord, SearchParams, make_params, parallel_map
-from .stroboscopic import accumulate_process
+from .stroboscopic import run_protocol
 
 __all__ = [
     "MAX_FULLSPACE_N",
@@ -226,7 +226,7 @@ def _compare_group(cases: list[EquivalenceCase], engine: str) -> list[Equivalenc
     N, w, steps = cases[0].N, cases[0].w, cases[0].steps
     params = [make_case_params(case) for case in cases]
     # the subspace engine runs first, so an unknown name fails before the full space
-    subs = [accumulate_process(p, steps, engine)[1] for p in params]
+    subs = [run_protocol(p, steps, engine) for p in params]
     results = []
     for case, sub, full in zip(cases, subs, _propagate(N, w, params, steps)):
         results.append(

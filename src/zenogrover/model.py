@@ -90,6 +90,8 @@ class SearchParams:
         n = self.n_G if n is None else n
         if n < 1:
             raise ValueError(f"need at least one step, got {n}")
+        if n > 2**52:  # a step's phase takes 2j - 1 to a double, exact up to 2**53
+            raise ValueError(f"n={n} steps at N={self.N!r}, dt={self.delta_t!r} exceed 2**52")
         return n
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import SearchParams, make_params, overlap_x, parallel_map
-from .stroboscopic import run_protocol
+from .stroboscopic import final_readout, run_protocol
 
 __all__ = [
     "ScalePlan",
@@ -67,7 +67,7 @@ class ScalePlan:
     ``k2_raw`` is the real-valued multiplier re-evaluated at the planned N2;
     ``integrality_residual`` its offset above the nearest lower integer.  The
     plan is valid when k2_raw sits within ``RESIDUAL_FACTOR * |tau|`` of an
-    integer.
+    integer and its ulp is below that tolerance, so the double resolves it.
     """
 
     N1: float
@@ -106,10 +106,11 @@ def plan_scaled_instance(N1: float, k1: int, tau: float, N_r: float) -> ScalePla
         N2 = math.floor(v) + 1
     k2_raw = scaling_k2(N1, k1, tau, float(N2))
     residual = k2_raw - math.floor(k2_raw)
-    # distance to the nearest integer decides validity; the floor residual is
-    # reported as-is but is ill-conditioned just below an integer
-    nearest = min(residual, 1.0 - residual)
-    valid = nearest < RESIDUAL_FACTOR * abs(tau) or k2 == k1
+    # distance to the nearest integer decides validity, if the double k2_raw
+    # resolves it; the floor residual is reported as-is but is ill-conditioned
+    # just below an integer
+    nearest, tol = min(residual, 1.0 - residual), RESIDUAL_FACTOR * abs(tau)
+    valid = k2 == k1 or (nearest < tol and math.ulp(k2_raw) < tol)
     return ScalePlan(
         N1=float(N1),
         k1=int(k1),
@@ -207,15 +208,13 @@ def _quality_point(item: tuple[SearchParams, float]) -> QualityReport:
     params = make_params(
         base.N, base.delta_t, delta_theta=base.delta_theta, theta0=base.theta0, epsilon=eps
     )
-    record = run_protocol(params)
-    f_nu = record.final_fidelity
-    P_nu = record.final_survival
+    f_nu, P_nu, _ = final_readout(params)
     T0 = math.pi / (2.0 * x)
     f_G = detuned_fidelity_analytic(T0, base.N, eps)
     divergent = f_G < QUALITY_FLOOR
     Q = math.inf if divergent else f_nu * P_nu / f_G
     success_nu = f_nu * P_nu
-    t_result_nu = math.inf if success_nu == 0 else record.params.readout_time() / success_nu
+    t_result_nu = math.inf if success_nu == 0 else params.readout_time() / success_nu
     t_result_G = math.inf if divergent else T0 / f_G
     return QualityReport(
         epsilon=eps,

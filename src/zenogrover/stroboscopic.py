@@ -24,8 +24,11 @@ ordered product V(n) = V_n ... V_1 and reads from it the survival probability
 ||V(n)|s>||^2, the fidelity (from the direction of V(n)|s>) and the unitarity
 distance of the accumulated operator; a run whose P or d overflows raises.
 
-The engine is a value: :func:`run_protocol` runs, and :func:`step_operator`
-returns one step of, any engine of :data:`ENGINES` or :data:`FAULTS`.  One
+The engine is a value: :func:`run_protocol` runs and records, and
+:func:`step_operator` returns one step of, any engine of :data:`ENGINES` or
+:data:`FAULTS`; :func:`final_readout` reads (f, P, d) of the exact engine
+without a record, for the sweeps.  A run takes at most 2**52 steps, as phi_j
+takes 2j - 1 to a double.  One
 numpy kernel, :func:`_scan`, multiplies out the steps of every 2x2 engine,
 the effective one included.  An engine enters through its step source,
 ``fill(j, out)``, which writes V_j for every index of an integer array j of
@@ -48,16 +51,15 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .model import RunRecord, SearchParams
+from .model import SURVIVAL_FLOOR, RunRecord, SearchParams
 
 __all__ = [
     "ENGINES",
     "FAULTS",
     "step_operator",
     "distance_from_unitarity",
-    "accumulate_process",
     "run_protocol",
-    "final_distance",
+    "final_readout",
 ]
 
 
@@ -158,21 +160,6 @@ def step_operator(j: int, params: SearchParams, engine: str = "exact") -> np.nda
     return V
 
 
-def accumulate_process(
-    params: SearchParams, n: int, engine: str = "exact"
-) -> tuple[np.ndarray, RunRecord]:
-    """Accumulate V(n) = V_n ... V_1 of ``engine`` (one of :data:`ENGINES`
-    or a fault of :data:`FAULTS`) and record the full trajectory.
-
-    Returns the accumulated operator and a :class:`RunRecord` sampled at every
-    step (row 0 is the initial state).  Survival is the squared norm of the
-    propagated state; fidelity is read from its direction, which the kernel
-    keeps rescaled, so it stays meaningful long after survival underflows.
-    """
-    n = params.step_count(n)
-    return _propagate(params, _step_source(params, engine), n)
-
-
 #: prefixes are rescaled every _RESCALE steps; the square of a product of
 #: fewer steps underflows only if its steps average below 1e-22 in size
 _RESCALE = 8
@@ -205,9 +192,11 @@ def _scan(fill: StepSource, n: int, record: bool) -> Iterator[tuple]:
     """The product kernel of every 2x2 engine, over the steps 1, ..., n that
     ``fill`` writes.  For each batch of c chunks, yield V(j) = W 2^g, W of
     shape (2, 2, c, i) and g of shape (c, i), after every step (i = _CHUNK)
-    if ``record``, else after each chunk (i = 1); the trailing axes flatten,
-    in C order, to step order, padded past n.  W is a view of the step
-    buffer, valid until the next batch is drawn.
+    if ``record`` or in the last batch, else after each chunk (i = 1); the
+    trailing axes flatten, in C order, to step order, padded past n.  W is
+    a view of the step buffer, valid until the next batch is drawn.  The
+    last batch is whole so that V(n) comes out of the same array operations
+    either way: numpy may round a complex product of one element otherwise.
 
     The buffer M holds step j of the batch at M[i, :, :, c'], j = first +
     _CHUNK c' + i; the prefix products inside the chunks take _CHUNK - 1
@@ -217,8 +206,6 @@ def _scan(fill: StepSource, n: int, record: bool) -> Iterator[tuple]:
     k0, k1, k2, k3, b = 1.0 + 0j, 0j, 0j, 1.0 + 0j, 0
     width = _CHUNK * min(max(1, _BLOCK_STEPS // _CHUNK), -(-n // _CHUNK))
     buf = np.empty(4 * width, dtype=complex)
-    rows = _CHUNK if record else 1
-    scratch = np.empty((2, rows * (width // _CHUNK)), dtype=complex)
     for first in range(1, n + 1, width):
         whole, part = divmod(min(width, n + 1 - first), _CHUNK)
         c = whole + (part > 0)
@@ -248,8 +235,9 @@ def _scan(fill: StepSource, n: int, record: bool) -> Iterator[tuple]:
             f, b = math.ldexp(1.0, -e), b + a + e
             k0, k1, k2, k3 = k0 * f, k1 * f, k2 * f, k3 * f
         K = np.array(K).T.reshape(2, 2, -1)
-        M, E = (M, E) if record else (M[-1:], E[-1:])
-        _times_carry(M, K, *scratch[:, : rows * c].reshape(2, rows, c))
+        if not (record or first + width > n):
+            M, E = M[-1:], E[-1:]
+        _times_carry(M, K, *np.empty((2, *E.shape), dtype=complex))
         yield M.transpose(1, 2, 3, 0), (E + np.array(B)).T
 
 
@@ -270,25 +258,29 @@ def distance_from_unitarity(V: np.ndarray) -> float:
     return float(_distance(np.asarray(V), 0))
 
 
-def _propagate(params: SearchParams, fill: StepSource, n: int) -> tuple[np.ndarray, RunRecord]:
-    """Multiply out the steps 1, ..., n that ``fill`` writes, and record
-    V(j)|s> at every step: survival is its squared norm and fidelity is
-    read from its direction (see :meth:`RunRecord.from_series`); the
-    distance column is d(V(j))."""
+def _readout(params: SearchParams, W: np.ndarray, g: np.ndarray) -> tuple:
+    """(f, P) of V|s> for V = W 2^g as yielded by :func:`_scan`, for a record
+    and for :func:`final_readout`: P is its squared norm and f is read from
+    its direction, nan where V|s> = 0 (see :meth:`RunRecord.from_series`)."""
     x = params.x
     r = math.sqrt(1.0 - x * x)  # |s> = x|w> + r|r>
+    amp0 = _sq(W[0, 0] * x + W[0, 1] * r)  # the squared moduli of its two entries
+    norm = amp0 + _sq(W[1, 0] * x + W[1, 1] * r)
+    return amp0 / norm, np.ldexp(norm, 2 * g)
+
+
+def _propagate(params: SearchParams, fill: StepSource, n: int) -> tuple[np.ndarray, RunRecord]:
+    """Multiply out the steps 1, ..., n that ``fill`` writes, and record
+    f, P (:func:`_readout`) and d(V(j)) at every step."""
     fid, sur, dist = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
-    fid[0], sur[0], dist[0] = x * x, 1.0, 0.0
+    fid[0], sur[0], dist[0] = params.x * params.x, 1.0, 0.0
     j = 1
     with np.errstate(invalid="ignore", over="ignore"):
         for W, g in _scan(fill, n, record=True):
             k = min(g.size, n + 1 - j)
             dist[j : j + k] = _distance(W, g).ravel()[:k]
-            # the squared moduli of the two entries of V(j)|s>
-            amp0 = _sq(W[0, 0] * x + W[0, 1] * r)
-            norm = amp0 + _sq(W[1, 0] * x + W[1, 1] * r)
-            sur[j : j + k] = np.ldexp(norm, 2 * g).ravel()[:k]
-            fid[j : j + k] = (amp0 / norm).ravel()[:k]  # nan: annihilated
+            f, P = _readout(params, W, g)
+            fid[j : j + k], sur[j : j + k] = f.ravel()[:k], P.ravel()[:k]
             j += k
     over = np.flatnonzero(np.isinf(sur) | np.isinf(dist))  # P <= ||V||_F^2: d goes first
     if over.size:
@@ -301,17 +293,23 @@ def _propagate(params: SearchParams, fill: StepSource, n: int) -> tuple[np.ndarr
 def run_protocol(
     params: SearchParams, n_max: Optional[int] = None, engine: str = "exact"
 ) -> RunRecord:
-    """Run the full protocol; n_max defaults to the search step count n_G."""
-    return accumulate_process(params, params.step_count(n_max), engine=engine)[1]
+    """Run ``engine`` (of :data:`ENGINES` or :data:`FAULTS`) for n_max steps,
+    by default n_G, and record every step, row 0 the initial state.  f stays
+    meaningful long after P underflows: the kernel keeps V(j) rescaled."""
+    n = params.step_count(n_max)
+    return _propagate(params, _step_source(params, engine), n)[1]
 
 
-def final_distance(params: SearchParams, n: Optional[int] = None) -> float:
-    """Unitarity distance d(V(n)) without trajectory recording (sweep helper).
-
-    Same entries and products as :func:`accumulate_process`, so the result
-    equals its last ``distance`` entry bit for bit.
-    """
+def final_readout(params: SearchParams, n: Optional[int] = None) -> tuple[float, float, float]:
+    """(f, P, d) of the exact engine after n steps, by default n_G, without a
+    record: the products and formulas of :func:`run_protocol`, so it equals
+    the record's last row bit for bit.  The exact engine's P never rises, so
+    P below the survival floor reads 0, as it does there; f reads nan where
+    V(n)|s> = 0 exactly, where the record holds its last direction."""
     n = params.step_count(n)
     for W, g in _scan(_step_source(params, "exact"), n, record=False):
         pass  # the last product of the last batch is V(n)
-    return float(_distance(W[..., -1:, -1:], g[-1:, -1:])[0, 0])
+    W, g = W[..., -1, -1], g[-1, -1]
+    with np.errstate(invalid="ignore"):
+        f, P = _readout(params, W, g)
+    return float(f), 0.0 if P < SURVIVAL_FLOOR else float(P), float(_distance(W, g))

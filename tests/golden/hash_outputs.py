@@ -7,7 +7,8 @@ Usage (from the root of a source checkout):
 
 Each command runs as a fresh ``python -m zenogrover.cli ... --jobs 1``
 process against the package in ``--src`` (default: this checkout's
-``src``).  One line per command: its name, its exit code, and the sha256 of
+``src``), stopped after :data:`TIMEOUT` seconds.  One line per command: its
+name, its exit code (``timeout`` for a stopped one), and the sha256 of
 its stdout (with the output directory masked), of its table and of its
 sidecar ("-" where it writes none).  The output directory is not part of the
 table or the sidecar, so two checkouts compare with a plain diff:
@@ -40,12 +41,16 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 from workloads import Command  # noqa: E402
 
+#: seconds a command may run before it is stopped
+TIMEOUT = 60
+
 #: commands beyond the benchmark's: both verify defaults, the approx engine,
 #: a deep-damping run at N = 4, a long exact run, eq. 11 at a tiny rotation
 #: from theta0 != 0, the effective engine from theta0 != 0 and at -+dtheta,
-#: and five inputs that must exit 2 (a plan at |tau| >= pi/2, an approx run
+#: eight inputs that must exit 2 (a plan at |tau| >= pi/2, an approx run
 #: that overflows, a step count that overflows, an effective step beyond its
-#: substep limit, a plan given --alpha without --check)
+#: substep limit, a plan given --alpha without --check, and three step counts
+#: beyond 2**52), and a plan whose k2_raw no double resolves
 EXTRA = (
     Command("verify", ("verify",)),
     Command("verify_n4", tuple("verify --n 4 --steps 700".split())),
@@ -71,6 +76,13 @@ EXTRA = (
         "run --engine effective --n 1e4 --k 1 --tau 0.2 --dtheta -0.5 --steps 60".split())),
     Command("run_effective_dtheta_pos", tuple(
         "run --engine effective --n 1e4 --k 1 --tau 0.2 --dtheta 0.5 --steps 60".split())),
+    Command("sweep_dt_too_many_steps", tuple(
+        "sweep-dt --n 1e6 --alpha 0.3 --grid 1e-290:2e-290:2".split()), writes=False),
+    Command("sweep_eps_too_many_steps", tuple(
+        "sweep-eps --n 1e6 --dt 1e-290 --grid 0:1:2".split()), writes=False),
+    Command("run_too_many_steps", tuple("run --n 1e6 --dt 1e-290".split()), writes=False),
+    Command("plan_nr_1e60", tuple(
+        "plan-scale --n 1e6 --k 1 --tau 0.2 --nr 1e60 --check".split()), writes=False),
 )
 
 
@@ -97,13 +109,17 @@ def hash_outputs(src: Path, outdir: Path) -> Iterator[str]:
         sidecar = table.with_name(table.name + ".meta.json")
         for path in (table, sidecar):  # no output of an earlier run counts
             path.unlink(missing_ok=True)
-        proc = subprocess.run(
-            [sys.executable, "-m", "zenogrover.cli", *cmd.argv(str(outdir))],
-            cwd=outdir, env=env, capture_output=True, check=False,
-        )
-        stdout = proc.stdout.replace(str(outdir).encode(), b"<out>")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "zenogrover.cli", *cmd.argv(str(outdir))],
+                cwd=outdir, env=env, capture_output=True, check=False, timeout=TIMEOUT,
+            )
+            code, stdout = str(proc.returncode), proc.stdout
+        except subprocess.TimeoutExpired as exc:  # the child is killed
+            code, stdout = "timeout", exc.stdout or b""
+        stdout = stdout.replace(str(outdir).encode(), b"<out>")
         yield " ".join([
-            cmd.name, str(proc.returncode), hashlib.sha256(stdout).hexdigest(),
+            cmd.name, code, hashlib.sha256(stdout).hexdigest(),
             _sha256(table) if cmd.writes else "-", _sha256(sidecar) if cmd.writes else "-",
         ])
 

@@ -24,7 +24,7 @@ from zenogrover.scaling import (
     plan_scaled_instance,
     quality_factor_sweep,
 )
-from zenogrover.stroboscopic import final_distance, run_protocol, step_operator
+from zenogrover.stroboscopic import final_readout, run_protocol, step_operator
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -69,7 +69,7 @@ def test_criterion_3_distance_minima_at_pi_multiples():
         ds = []
         for off in offsets:
             p = make_params(N, center + float(off), alpha=alpha)
-            ds.append(final_distance(p))
+            ds.append(final_readout(p)[2])
         ds = np.array(ds)
         i_center = 10
         at_center = ds[i_center]

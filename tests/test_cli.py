@@ -161,13 +161,19 @@ class TestBadInput:
             # without --check no process runs, so alpha would not be applied
             ["plan-scale", "--n", "1e6", "--k", "1", "--tau", "0.2", "--nr", "1e8",
              "--alpha", "0.5", "--out", "{tmp}/p.csv"],
+            # n_G = 1.6e293 steps: a step's phase takes 2j - 1 to a double,
+            # exact only up to 2**53, so no engine runs more than 2**52 steps
+            ["run", "--n", "1e6", "--dt", "1e-290"],
+            ["sweep-dt", "--n", "1e6", "--alpha", "0.3", "--grid", "1e-290:2e-290:2"],
+            ["sweep-eps", "--n", "1e6", "--dt", "1e-290", "--grid", "0:1:2"],
         ],
         ids=["alpha-nan", "eps-inf", "n-inf", "unwritable-out", "verify-n-inf",
              "plan-nr-inf", "sweep-dt-steps-0", "jobs-0", "verify-n-non-integer",
              "record-too-large", "dt-with-k-tau", "dtheta-with-alpha", "approx-eps",
              "plan-tau-too-large", "approx-overflow", "step-count-overflow-dt",
              "step-count-overflow-n", "effective-alpha-huge", "effective-rate-inf",
-             "effective-dtheta-1e5", "plan-alpha-without-check"],
+             "effective-dtheta-1e5", "plan-alpha-without-check", "too-many-steps-run",
+             "too-many-steps-sweep-dt", "too-many-steps-sweep-eps"],
     )
     def test_exits_2_with_message(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setenv("ZENOGROVER_OUTDIR", str(tmp_path))
@@ -175,7 +181,11 @@ class TestBadInput:
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         assert main([a.format(blocker=blocker, tmp=tmp_path) for a in argv]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if "1e-290" in argv:  # the step count is named
+            n = zenogrover.make_params(1e6, 1e-290).n_G
+            assert err == f"error: n={n} steps at N=1000000.0, dt=1e-290 exceed 2**52\n"
 
     @pytest.mark.parametrize(
         "argv, blocker",
@@ -492,6 +502,16 @@ class TestPlanScale:
         assert meta["config"]["alpha"] == 0.3
         assert meta["summary"]["check"]["alpha"] == 0.3
         assert "# alpha=0.3" in out.read_text().splitlines()
+
+    def test_unresolved_residual_is_not_valid(self, capsys):
+        # k2_raw = 1.06e27 has an ulp of 1.4e11, so its residual reads 0 while
+        # the check finds the two runs 0.71 apart in fidelity
+        assert main([
+            "plan-scale", "--n", "1e6", "--k", "1", "--tau", "0.2", "--nr", "1e60", "--check",
+        ]) == 0
+        text = capsys.readouterr().out
+        assert "integrality_residual = 0\n" in text
+        assert "valid = false" in text
 
     def test_rejects_backwards_request(self):
         assert main([

@@ -17,7 +17,7 @@ from zenogrover.fullspace import (
     simulate_full_protocol,
 )
 from zenogrover.model import SURVIVAL_FLOOR, grover_fidelity_closed_form, make_params
-from zenogrover.stroboscopic import accumulate_process, run_protocol
+from zenogrover.stroboscopic import run_protocol
 
 
 def _block(N: int, w: int, coeff_w: float, coeff_s: float) -> np.ndarray:
@@ -114,7 +114,7 @@ class TestSimulate:
         N = 16
         params = make_params(float(N), 1.0, delta_theta=0.01)
         full = simulate_full_protocol(N, 4, params, n_max=200)
-        _, sub = accumulate_process(params, 200)
+        sub = run_protocol(params, 200)
         assert np.max(np.abs(full.fidelity - sub.fidelity)) < 1e-10
         assert np.max(np.abs(full.survival - sub.survival)) < 1e-10
 
@@ -122,7 +122,7 @@ class TestSimulate:
         N = 16
         params = make_params(float(N), math.pi + 0.2, delta_theta=0.005, epsilon=0.07)
         full = simulate_full_protocol(N, 9, params, n_max=150)
-        _, sub = accumulate_process(params, 150)
+        sub = run_protocol(params, 150)
         assert np.max(np.abs(full.fidelity - sub.fidelity)) < 1e-10
         assert np.max(np.abs(full.survival - sub.survival)) < 1e-10
 

@@ -48,6 +48,12 @@ class TestMakeParams:
             p.step_count()
         assert p.step_count(3) == 3
 
+    def test_step_count_stops_at_2_to_the_52(self):
+        p = make_params(100.0, 1.0)
+        assert p.step_count(2**52) == 2**52
+        with pytest.raises(ValueError, match=f"n={2**52 + 1} steps at N=100.0, dt=1.0"):
+            p.step_count(2**52 + 1)
+
     def test_rejects_conflicting_arguments(self):
         with pytest.raises(ValueError):
             make_params(1e4, 1.0, k=1, tau=0.1)

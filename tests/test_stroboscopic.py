@@ -17,9 +17,8 @@ from zenogrover.model import (
 from zenogrover.stroboscopic import (
     ENGINES,
     _expm_2x2,
-    accumulate_process,
     distance_from_unitarity,
-    final_distance,
+    final_readout,
     run_protocol,
     step_operator,
 )
@@ -144,6 +143,12 @@ def _entries(fill, n):
     out = np.empty((2, 2, n), dtype=complex)
     fill(np.arange(1, n + 1), out)
     return out.reshape(4, n).T
+
+
+def _product(p, n, engine="exact"):
+    """(V(n), record) of ``engine`` through the kernel: V(n) is what no
+    public call returns."""
+    return stroboscopic._propagate(p, stroboscopic._step_source(p, engine), n)
 
 
 def _steps_case(N, n=None, engine="exact", **kwargs):
@@ -282,7 +287,7 @@ class TestEngineDispatch:
 
     def test_effective_records_the_distance(self):
         p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
-        V, record = accumulate_process(p, 300, "effective")
+        V, record = _product(p, 300, "effective")
         assert record.distance[0] == 0.0
         assert np.all(np.isfinite(record.distance))
         assert record.distance[-1] == distance_from_unitarity(V)
@@ -479,15 +484,15 @@ class TestAccumulate:
     def test_ordering_regression(self):
         p = make_params(1e4, math.pi + 0.2, alpha=0.3)
         for n in (2, 5, 17):
-            V_n, _ = accumulate_process(p, n)
-            V_prev, _ = accumulate_process(p, n - 1) if n > 1 else (np.eye(2), None)
+            V_n, _ = _product(p, n)
+            V_prev, _ = _product(p, n - 1) if n > 1 else (np.eye(2), None)
             step = step_operator(n, p)
             np.testing.assert_allclose(V_n, step @ V_prev, atol=1e-14)
 
     def test_survival_three_ways(self):
         p = make_params(1e6, math.pi + 0.2, alpha=0.3)
         n = 400
-        V, record = accumulate_process(p, n)
+        V, record = _product(p, n)
         s = np.array([p.x, math.sqrt(1 - p.x**2)], dtype=complex)
         from_product = float(np.linalg.norm(V @ s) ** 2)
         assert abs(record.survival[-1] - from_product) < 1e-10
@@ -518,7 +523,7 @@ class TestAccumulate:
 
     def test_unitary_limit_distance_stays_zero(self):
         p = make_params(1e6, 1.0, delta_theta=0.0)
-        _, record = accumulate_process(p, 100_000)
+        record = run_protocol(p, 100_000)
         assert np.max(np.abs(record.distance)) <= 1e-10
         assert np.max(np.abs(record.survival - 1.0)) <= 1e-10
 
@@ -581,8 +586,8 @@ class TestAccumulate:
 
     def test_final_distance_matches_record(self):
         p = make_params(1e6, math.pi + 0.2, alpha=0.3)
-        _, record = accumulate_process(p, 200)
-        assert final_distance(p, 200) == pytest.approx(
+        record = run_protocol(p, 200)
+        assert final_readout(p, 200)[2] == pytest.approx(
             record.distance[-1], abs=1e-15
         )
 
@@ -591,12 +596,12 @@ class TestAccumulate:
         # distance bit for bit, and memory does not grow with n
         monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", 64)
         p = make_params(1e6, math.pi + 0.2, alpha=0.3)
-        _, record = accumulate_process(p, 1000)
-        assert final_distance(p, 1000) == record.distance[-1]
+        record = run_protocol(p, 1000)
+        assert final_readout(p, 1000)[2] == record.distance[-1]
         peaks = []
         for n in (1000, 8000):
             tracemalloc.start()
-            final_distance(p, n)
+            final_readout(p, n)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
@@ -604,9 +609,9 @@ class TestAccumulate:
     def test_engine_validation(self):
         p = make_params(1e4, 1.0)
         with pytest.raises(ValueError):
-            accumulate_process(p, 10, engine="bogus")
+            run_protocol(p, 10, engine="bogus")
         with pytest.raises(ValueError):
-            accumulate_process(p, 0)
+            run_protocol(p, 0)
 
     @given(
         n_exp=st.floats(min_value=2, max_value=8),
@@ -618,6 +623,32 @@ class TestAccumulate:
         p = make_params(10.0**n_exp, k=1, tau=tau, alpha=alpha)
         record = run_protocol(p, min(p.n_G, 120))
         assert np.all(np.diff(record.survival) <= 1e-12)
+
+
+class TestFinalReadout:
+    def test_is_the_records_last_row(self, monkeypatch):
+        base = make_params(1e18, k=1000000, tau=0.2, alpha=0.3)
+        cases = [  # the 81 points of the q recipe, 499 steps each
+            (make_params(base.N, base.delta_t, delta_theta=base.delta_theta,
+                         epsilon=r * base.x), None)
+            for r in np.linspace(-10, 10, 81)
+        ]
+        cases += [
+            (make_params(1e6, k=1, tau=0.2, alpha=0.3), None),  # ladder_a
+            # survival falls below the floor at step 2154 and at step 10
+            (make_params(4.0, math.pi, delta_theta=0.01), 3000),
+            (make_params(16.0, 1.0, delta_theta=math.pi / 2), 40),
+        ]
+        for p, n in cases:
+            record = run_protocol(p, n)
+            last = (record.fidelity[-1], record.survival[-1], record.distance[-1])
+            assert final_readout(p, n) == last
+        # the centre of the d_pi sweep, 49 999 steps in 782 batches
+        monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", 64)
+        p = make_params(1e10, 3.1416, alpha=0.3)
+        record = run_protocol(p)
+        last = (record.fidelity[-1], record.survival[-1], record.distance[-1])
+        assert final_readout(p) == last
 
 
 def _traced_peak_mb(fn) -> float:
@@ -636,14 +667,14 @@ class TestWorkingSet:
         # kernel's 1 MB step buffer
         p = make_params(1e10, 3.1416, alpha=0.3)
         assert p.n_G == 49999
-        assert _traced_peak_mb(lambda: final_distance(p)) <= 2.5
+        assert _traced_peak_mb(lambda: final_readout(p)) <= 2.5
 
     def test_record_path_multiplies_the_carry_in_place(self):
         # 20 000 steps in two batches: the 1 MB step buffer, 0.5 MB of scratch
         # and the 0.8 MB record; a product with the carry formed outside the
         # buffer would add three 1 MB arrays, 4.9 MB in all
         p = make_params(1e10, 3.1416, alpha=0.3)
-        assert _traced_peak_mb(lambda: accumulate_process(p, 20000)) <= 3.35
+        assert _traced_peak_mb(lambda: run_protocol(p, 20000)) <= 3.35
 
 
 class TestFinalDistancePrecision:
@@ -668,7 +699,7 @@ class TestFinalDistancePrecision:
                     v10 * b + v11 * d,
                 )
             ref = 1 - (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2) / 2
-        assert abs(final_distance(p, steps) - float(ref)) <= 1e-12
+        assert abs(final_readout(p, steps)[2] - float(ref)) <= 1e-12
 
 
 def p_x3(N):
