@@ -18,14 +18,16 @@ complement of span{|w>, |s>} it is exactly the identity.  A step costs O(N):
 read ``Vᵀψ = (ψ_w, g·Σψ)``, apply the 2x2 ``K_b``, add ``V·Δ`` back.
 
 The state is one (2, B, N) complex128 array, ancilla block first and one
-row per case; the equivalence suite runs each group of consecutive cases
-that share (N, w, epsilon, steps) as one batch, and
-``simulate_full_protocol`` is a batch of one.  Every sum runs along the
-last, contiguous axis, so a case's numbers do not depend on the batch it
-ran in.  Every entry other than the target goes through the same
-floating-point operations, so those entries stay bitwise equal: the
-invariance of span{|w>, |s>} is a symmetry that the arithmetic keeps
-exactly, and no rounding leak can outgrow a deeply damped success branch.
+row per case, each row with its own target; the equivalence suite runs each
+group of consecutive cases that share (N, epsilon, steps) as one batch, in
+slices of rows that hold at most _BATCH_BYTES, and its subspace side as one
+pass of the 2x2 kernel; ``simulate_full_protocol`` is a batch of one.
+Every sum runs along the last, contiguous axis, so a case's numbers do not
+depend on the batch it ran in.  Every entry of a row other than its target
+goes through the same floating-point operations, so those entries stay
+bitwise equal: the invariance of span{|w>, |s>} is a symmetry that the
+arithmetic keeps exactly, and no rounding leak can outgrow a deeply damped
+success branch.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .model import EQUIVALENCE_STEPS, RunRecord, SearchParams, make_params, parallel_map
-from .stroboscopic import run_protocol
+from .stroboscopic import _run_protocols
 
 __all__ = [
     "MAX_FULLSPACE_N",
@@ -54,6 +56,9 @@ __all__ = [
 ]
 
 MAX_FULLSPACE_N = 2**20
+#: bytes of the (2, B, N) complex state of one full-space batch: a group of
+#: cases runs in slices of as many rows as fit, at least one
+_BATCH_BYTES = 1 << 28
 #: largest per-step |f| and |P| deviation at which an equivalence case passes
 EQUIVALENCE_TOLERANCE = 1e-8
 
@@ -79,26 +84,37 @@ def _step_kernels(N: int, epsilon: float, dt: np.ndarray) -> np.ndarray:
     return inv_root @ ((R * E[..., None, :]) @ np.swapaxes(R, -1, -2)) @ inv_root
 
 
-def _evolve(psi: np.ndarray, K: np.ndarray, w: int) -> None:
+def _evolve(
+    psi: np.ndarray, K: np.ndarray, w: int | np.ndarray, u: Optional[np.ndarray] = None
+) -> None:
     """``psi <- exp(-i H_b dt) psi`` in place for each block b and case:
-    ``psi`` is (2, B, N) and ``K`` the matching (2, B, 2, 2) kernels."""
+    ``psi`` is (2, B, N), ``K`` the matching (2, B, 2, 2) kernels and ``w``
+    the target of every case or one per case; ``u``, if given, is (2, B, 2)
+    scratch for Vᵀψ."""
     g = 1.0 / math.sqrt(psi.shape[-1])
-    u = np.stack([psi[..., w], g * psi.sum(-1)], axis=-1)  # Vᵀψ
+    at = (slice(None), np.arange(psi.shape[1]), w)  # the target entry of each case
+    if u is None:
+        u = np.empty((*psi.shape[:2], 2), dtype=complex)
+    u[..., 0] = psi[at]
+    np.multiply(psi.sum(-1), g, out=u[..., 1])  # Vᵀψ
     delta = (K @ u[..., None])[..., 0]
     psi += g * delta[..., 1:]
-    psi[..., w] += delta[..., 0]
+    psi[at] += delta[..., 0]
 
 
 def _propagate(
     N: int,
-    w: int,
+    w: int | Sequence[int],
     params: Sequence[SearchParams],
     n_max: Optional[int],
     state_callback: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> list[RunRecord]:
-    """Run a batch of protocols that share (N, w, epsilon) in the full
-    space; returns one record per case.  ``state_callback`` sees case 0."""
-    _check_target(N, w)
+    """Run a batch of protocols that share (N, epsilon) in the full space,
+    with target ``w``, one for all cases or one per case; returns one record
+    per case.  ``state_callback`` sees case 0."""
+    w = np.broadcast_to(w, len(params))
+    for target in w.tolist():
+        _check_target(N, target)
     n_max = params[0].step_count(n_max)
     dt, theta0, dtheta = (
         np.array([getattr(p, k) for p in params]) for k in ("delta_t", "theta0", "delta_theta")
@@ -110,20 +126,29 @@ def _propagate(
     # (up, down) x case x database entry; both start along |s>
     psi = np.empty((2, len(params), N), dtype=complex)
     psi[0], psi[1] = cos_th[0] * g, sin_th[0] * g
+    # complex once: numpy casts a real factor to complex before it multiplies
+    cos_th, sin_th = cos_th.astype(complex), sin_th.astype(complex)
+    rows = np.arange(len(params))
+    u = np.empty((2, len(params), 2), dtype=complex)
+    square = np.empty((len(params), 2 * N))
+    root = np.empty(len(params))
 
     # per step and case: the raw fidelity and the success probability p
     fid = np.full((len(params), n_max + 1), 1.0 / N)
     p = np.ones((len(params), n_max + 1))
     for j in range(1, n_max + 1):
-        _evolve(psi, K, w)
+        _evolve(psi, K, w, u)
         # project the ancilla: the database state, in place of the up block
         db = psi[0]
         db *= cos_th[j]
         psi[1] *= sin_th[j]
         db += psi[1]
-        p[:, j] = np.square(db.view(float)).sum(-1)
-        db /= np.sqrt(np.where(p[:, j] == 0.0, 1.0, p[:, j]))[:, None]
-        amp = db[:, w]
+        np.square(db.view(float), out=square).sum(-1, out=p[:, j])
+        np.sqrt(p[:, j], out=root)
+        if not root.all():  # an annihilated case keeps its zero state
+            root[root == 0.0] = 1.0
+        db /= root[:, None]
+        amp = db[rows, w]
         fid[:, j] = amp.real * amp.real + amp.imag * amp.imag
         np.multiply(sin_th[j], db, out=psi[1])
         db *= cos_th[j]
@@ -209,34 +234,38 @@ def equivalence_suite(
     """Compare the subspace ``engine`` against the full-space simulation case
     by case.  ``verify --inject-fault hdown-sign`` runs the suite against the
     exact engine with Q = P (see :data:`stroboscopic.FAULTS`), and then it
-    must fail.  Consecutive cases that share (N, w, epsilon, steps) run
-    through the full space as one batch, and the batches fan out to ``jobs``
-    worker processes; the results follow the case order either way."""
+    must fail.  Consecutive cases that share (N, epsilon, steps) run as one
+    batch, through the subspace engine and the full space, and the batches
+    fan out to ``jobs`` worker processes; the results follow the case order
+    either way."""
     if cases is None:
         cases = default_equivalence_cases()
     groups = [
-        list(group)
-        for _, group in groupby(cases, key=lambda c: (c.N, c.w, c.epsilon, c.steps))
+        list(group) for _, group in groupby(cases, key=lambda c: (c.N, c.epsilon, c.steps))
     ]
     compare = partial(_compare_group, engine=engine)
     return [r for results in parallel_map(compare, groups, jobs) for r in results]
 
 
 def _compare_group(cases: list[EquivalenceCase], engine: str) -> list[EquivalenceResult]:
-    N, w, steps = cases[0].N, cases[0].w, cases[0].steps
+    N, steps = cases[0].N, cases[0].steps
     params = [make_case_params(case) for case in cases]
     # the subspace engine runs first, so an unknown name fails before the full space
-    subs = [run_protocol(p, steps, engine) for p in params]
-    results = []
-    for case, sub, full in zip(cases, subs, _propagate(N, w, params, steps)):
-        results.append(
-            EquivalenceResult(
-                case=case,
-                max_fidelity_deviation=float(np.max(np.abs(sub.fidelity - full.fidelity))),
-                max_survival_deviation=float(np.max(np.abs(sub.survival - full.survival))),
-            )
+    subs = _run_protocols(params, steps, engine)
+    rows = max(1, _BATCH_BYTES // (32 * N))  # of a (2, rows, N) complex state
+    fulls = [
+        record
+        for s in range(0, len(cases), rows)
+        for record in _propagate(N, [c.w for c in cases[s : s + rows]], params[s : s + rows], steps)
+    ]
+    return [
+        EquivalenceResult(
+            case=case,
+            max_fidelity_deviation=float(np.max(np.abs(sub.fidelity - full.fidelity))),
+            max_survival_deviation=float(np.max(np.abs(sub.survival - full.survival))),
         )
-    return results
+        for case, sub, full in zip(cases, subs, fulls)
+    ]
 
 
 def make_case_params(case: EquivalenceCase) -> SearchParams:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import SearchParams, make_params, overlap_x, parallel_map
-from .stroboscopic import final_readout, run_protocol
+from .stroboscopic import _final_readouts, run_protocol
 
 __all__ = [
     "ScalePlan",
@@ -201,32 +201,38 @@ class QualityReport:
         return self.f_nu * self.P_nu
 
 
-def _quality_point(item: tuple[SearchParams, float]) -> QualityReport:
-    base, ratio = item
+def _quality_points(item: tuple[SearchParams, Sequence[float]]) -> list[QualityReport]:
+    """The quality factor at the detunings ``ratios`` (in units of x) of
+    ``base``, its protocols read out in one pass of the kernel."""
+    base, ratios = item
     x = base.x
-    eps = ratio * x
-    params = make_params(
-        base.N, base.delta_t, delta_theta=base.delta_theta, theta0=base.theta0, epsilon=eps
-    )
-    f_nu, P_nu, _ = final_readout(params)
     T0 = math.pi / (2.0 * x)
-    f_G = detuned_fidelity_analytic(T0, base.N, eps)
-    divergent = f_G < QUALITY_FLOOR
-    Q = math.inf if divergent else f_nu * P_nu / f_G
-    success_nu = f_nu * P_nu
-    t_result_nu = math.inf if success_nu == 0 else params.readout_time() / success_nu
-    t_result_G = math.inf if divergent else T0 / f_G
-    return QualityReport(
-        epsilon=eps,
-        eps_over_x=ratio,
-        f_nu=f_nu,
-        P_nu=P_nu,
-        f_G=f_G,
-        Q=Q,
-        divergent=divergent,
-        t_result_nu=t_result_nu,
-        t_result_G=t_result_G,
-    )
+    epsilons = [r * x for r in ratios]
+    points = [
+        make_params(
+            base.N, base.delta_t, delta_theta=base.delta_theta, theta0=base.theta0, epsilon=eps
+        )
+        for eps in epsilons
+    ]
+    reports = []
+    for ratio, eps, params, (f_nu, P_nu, _) in zip(
+        ratios, epsilons, points, _final_readouts(points)
+    ):
+        f_G = detuned_fidelity_analytic(T0, base.N, eps)
+        divergent = f_G < QUALITY_FLOOR
+        success_nu = f_nu * P_nu
+        reports.append(QualityReport(
+            epsilon=eps,
+            eps_over_x=ratio,
+            f_nu=f_nu,
+            P_nu=P_nu,
+            f_G=f_G,
+            Q=math.inf if divergent else f_nu * P_nu / f_G,
+            divergent=divergent,
+            t_result_nu=math.inf if success_nu == 0 else params.readout_time() / success_nu,
+            t_result_G=math.inf if divergent else T0 / f_G,
+        ))
+    return reports
 
 
 def quality_factor_sweep(
@@ -235,8 +241,11 @@ def quality_factor_sweep(
     jobs: int = 1,
 ) -> list[QualityReport]:
     """Evaluate the quality factor on a grid of detunings given in units of x
-    (so the sweep shape is size-independent).  Points are independent; with
-    ``jobs > 1`` they are fanned out to worker processes, and the output order
-    always follows the input grid."""
-    work = [(params_base, float(r)) for r in eps_over_x]
-    return parallel_map(_quality_point, work, jobs)
+    (so the sweep shape is size-independent).  The points run through the
+    kernel together; with ``jobs > 1`` contiguous slices of them are fanned
+    out to worker processes, and the output order always follows the input
+    grid."""
+    ratios = [float(r) for r in eps_over_x]
+    size = max(1, -(-len(ratios) // max(1, jobs)))  # points per slice
+    work = [(params_base, ratios[s : s + size]) for s in range(0, len(ratios), size)]
+    return [r for reports in parallel_map(_quality_points, work, jobs) for r in reports]

@@ -28,26 +28,30 @@ The engine is a value: :func:`run_protocol` runs and records, and
 :func:`step_operator` returns one step of, any engine of :data:`ENGINES` or
 :data:`FAULTS`; :func:`final_readout` reads (f, P, d) of the exact engine
 without a record, for the sweeps.  A run takes at most 2**52 steps, as phi_j
-takes 2j - 1 to a double.  One
-numpy kernel, :func:`_scan`, multiplies out the steps of every 2x2 engine,
-the effective one included.  An engine enters through its step source,
-``fill(j, out)``, which writes V_j for every index of an integer array j of
-steps 1, ..., n into ``out`` of shape (2, 2, *j.shape); :func:`_step_source`
-is the one place that turns an engine name into a step source.  Inside chunks of
-_CHUNK steps, prefix products take _CHUNK - 1 rounds vectorised across the
-chunks (Blelloch, "Prefix sums and their applications", 1990); a carry, the
-product of all earlier chunks, joins them.  Each product is a matrix rescaled
-by a power of two, which is exact, plus an integer exponent, so deep damping
-cannot underflow.  The kernel holds one step buffer of at most _BLOCK_STEPS
-steps per run, which the sources write and the products overwrite in place,
-so memory does not grow with the run length.
+takes 2j - 1 to a double.  One numpy kernel, :func:`_scan`, multiplies out
+the steps of every 2x2 engine, the effective one included, for many runs at
+once: ``verify`` hands it the subspace side of a group of cases and
+``sweep-eps`` its grid, and a single run is a batch of one.  An engine enters
+through its step source, ``fill(j, out)``, which writes V_j for every index
+of an integer array j of steps 1, ..., n into ``out`` of shape
+(2, 2, *j.shape); :func:`_step_source` is the one place that turns an engine
+name into a step source.  Inside chunks of _CHUNK steps, prefix products take
+_CHUNK - 1 rounds vectorised across the chunks of all the runs side by side
+(Blelloch, "Prefix sums and their applications", 1990); a carry per run, the
+product of its earlier chunks, joins them.  The rounds are elementwise over
+the chunks, so a run's products do not depend on its neighbours.  Each
+product is a matrix rescaled by a power of two, which is exact, plus an
+integer exponent, so deep damping cannot underflow.  The kernel holds one
+step buffer of at most _BLOCK_STEPS steps per call, which the sources write
+and the products overwrite in place, so memory does not grow with the run
+length or the number of runs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -188,41 +192,61 @@ def _times_carry(M: np.ndarray, K: np.ndarray, t0: np.ndarray, t1: np.ndarray) -
         b[...] = t1
 
 
-def _scan(fill: StepSource, n: int, record: bool) -> Iterator[tuple]:
-    """The product kernel of every 2x2 engine, over the steps 1, ..., n that
-    ``fill`` writes.  For each batch of c chunks, yield V(j) = W 2^g, W of
-    shape (2, 2, c, i) and g of shape (c, i), after every step (i = _CHUNK)
-    if ``record`` or in the last batch, else after each chunk (i = 1); the
-    trailing axes flatten, in C order, to step order, padded past n.  W is
-    a view of the step buffer, valid until the next batch is drawn.  The
-    last batch is whole so that V(n) comes out of the same array operations
-    either way: numpy may round a complex product of one element otherwise.
+def _scan(runs: Sequence[tuple[StepSource, int]], record: bool) -> Iterator[tuple]:
+    """The product kernel of every 2x2 engine, over the steps 1, ..., n of
+    each run (fill, n) of ``runs``, in one pass: the runs' chunks lie side by
+    side along the chunk axis, run after run.  For each batch of c chunks,
+    yield (W, g, spans) with V(j) = W 2^g, W of shape (2, 2, c, _CHUNK) and g
+    of shape (c, _CHUNK), and a span (r, lo, hi, first) for each run r with
+    chunks in the batch: its products from step ``first`` on lie in the
+    columns lo:hi and flatten, in C order, to step order, padded past n.
+    If ``record`` is false, the batch holds only the last chunk of each run
+    that ends in it, one column each.  W is a view of the step buffer, valid
+    until the next batch is drawn.  A last chunk is multiplied out whole in
+    either mode, so V(n) comes out of the same array operations: numpy may
+    round a complex product of one element otherwise.
 
-    The buffer M holds step j of the batch at M[i, :, :, c'], j = first +
-    _CHUNK c' + i; the prefix products inside the chunks take _CHUNK - 1
-    rounds vectorised across the chunks.  The carry k 2^b, the product of
-    all earlier chunks, passes from chunk to chunk and multiplies the
-    prefixes in place."""
-    k0, k1, k2, k3, b = 1.0 + 0j, 0j, 0j, 1.0 + 0j, 0
-    width = _CHUNK * min(max(1, _BLOCK_STEPS // _CHUNK), -(-n // _CHUNK))
-    buf = np.empty(4 * width, dtype=complex)
-    for first in range(1, n + 1, width):
-        whole, part = divmod(min(width, n + 1 - first), _CHUNK)
-        c = whole + (part > 0)
+    The buffer M holds step j of a run at M[i, :, :, c'], with i = (j - 1)
+    mod _CHUNK; the prefix products inside the chunks take _CHUNK - 1 rounds
+    vectorised across the chunks of all runs.  The carry k 2^b, the product
+    of a run's earlier chunks, restarts at its first chunk, passes from
+    chunk to chunk, across batches too, and multiplies the prefixes in
+    place."""
+    starts = np.cumsum([0] + [-(-n // _CHUNK) for _, n in runs]).tolist()  # first chunks
+    width = max(1, min(_BLOCK_STEPS // _CHUNK, starts[-1]))
+    buf = np.empty(4 * _CHUNK * width, dtype=complex)
+    r = 0  # the run of the batch's first chunk
+    for q in range(0, starts[-1], width):
+        c = min(width, starts[-1] - q)
         # M[i] holds the step entries V_i, then the prefix that ends there
         M = buf[: 4 * _CHUNK * c].reshape(_CHUNK, 2, 2, c)
-        j = np.arange(first, first + _CHUNK * c).reshape(c, _CHUNK).T
         out = M.transpose(1, 2, 0, 3)
-        fill(j[:, :whole], out[..., :whole])
-        if part:  # a short last chunk, padded with identities, which multiply exactly
-            fill(j[:part, whole], out[:, :, :part, whole])
-            M[part:, :, :, whole] = np.eye(2)
+        spans = []
+        while r < len(runs) and starts[r] < q + c:
+            fill, n = runs[r]
+            lo, hi = max(starts[r], q) - q, min(starts[r + 1], q + c) - q
+            first = 1 + _CHUNK * (q + lo - starts[r])
+            spans.append((r, lo, hi, first))
+            j = np.arange(first, first + _CHUNK * (hi - lo)).reshape(hi - lo, _CHUNK).T
+            whole, part = divmod(min(n + 1 - first, _CHUNK * (hi - lo)), _CHUNK)
+            fill(j[:, :whole], out[..., lo : lo + whole])
+            if part:  # a short last chunk, padded with identities, which multiply exactly
+                fill(j[:part, whole], out[:, :, :part, lo + whole])
+                M[part:, :, :, lo + whole] = np.eye(2)
+            if starts[r + 1] > q + c:
+                break  # the run goes on in the next batch
+            r += 1
         E = np.zeros((_CHUNK, c), dtype=np.int64)
         for i in range(1, _CHUNK):
             m = np.add(M[i, :, :1] * M[i - 1, :1], M[i, :, 1:] * M[i - 1, 1:], out=M[i])
             E[i] = _rescale(m, E[i - 1]) if i % _RESCALE == _RESCALE - 1 else E[i - 1]
+        heads = {starts[s] - q for s, *_ in spans}
         K, B = [], []
-        for (t0, t1, t2, t3), a in zip(M[-1].reshape(4, -1).T.tolist(), E[-1].tolist()):
+        for col, ((t0, t1, t2, t3), a) in enumerate(
+            zip(M[-1].reshape(4, -1).T.tolist(), E[-1].tolist())
+        ):
+            if col in heads:
+                k0, k1, k2, k3, b = 1.0 + 0j, 0j, 0j, 1.0 + 0j, 0
             K.append((k0, k1, k2, k3))
             B.append(b)
             k0, k1, k2, k3 = (
@@ -234,11 +258,17 @@ def _scan(fill: StepSource, n: int, record: bool) -> Iterator[tuple]:
             e = max(math.frexp(abs(k0) + abs(k1) + abs(k2) + abs(k3))[1], -1022)
             f, b = math.ldexp(1.0, -e), b + a + e
             k0, k1, k2, k3 = k0 * f, k1 * f, k2 * f, k3 * f
-        K = np.array(K).T.reshape(2, 2, -1)
-        if not (record or first + width > n):
-            M, E = M[-1:], E[-1:]
+        K, B = np.array(K).T.reshape(2, 2, -1), np.array(B)
+        if not record:  # the last chunk of each run that ends here
+            spans = [span for span in spans if starts[span[0] + 1] <= q + c]
+            if not spans:
+                continue
+            ends = [hi - 1 for _, _, hi, _ in spans]
+            M, E, K, B = M[..., ends], E[:, ends], K[..., ends], B[ends]
+            spans = [(s, i, i + 1, 1 + _CHUNK * (starts[s + 1] - starts[s] - 1))
+                     for i, (s, *_) in enumerate(spans)]
         _times_carry(M, K, *np.empty((2, *E.shape), dtype=complex))
-        yield M.transpose(1, 2, 3, 0), (E + np.array(B)).T
+        yield M.transpose(1, 2, 3, 0), (E + B).T, spans
 
 
 def _sq(z: np.ndarray) -> np.ndarray:
@@ -258,36 +288,59 @@ def distance_from_unitarity(V: np.ndarray) -> float:
     return float(_distance(np.asarray(V), 0))
 
 
-def _readout(params: SearchParams, W: np.ndarray, g: np.ndarray) -> tuple:
-    """(f, P) of V|s> for V = W 2^g as yielded by :func:`_scan`, for a record
+def _readout(x, W: np.ndarray, g: np.ndarray) -> tuple:
+    """(f, P) of V|s> for V = W 2^g as yielded by :func:`_scan` and the
+    overlap x, a number or an array that broadcasts against g, for a record
     and for :func:`final_readout`: P is its squared norm and f is read from
     its direction, nan where V|s> = 0 (see :meth:`RunRecord.from_series`)."""
-    x = params.x
-    r = math.sqrt(1.0 - x * x)  # |s> = x|w> + r|r>
+    r = np.sqrt(1.0 - x * x)  # |s> = x|w> + r|r>
     amp0 = _sq(W[0, 0] * x + W[0, 1] * r)  # the squared moduli of its two entries
     norm = amp0 + _sq(W[1, 0] * x + W[1, 1] * r)
     return amp0 / norm, np.ldexp(norm, 2 * g)
 
 
-def _propagate(params: SearchParams, fill: StepSource, n: int) -> tuple[np.ndarray, RunRecord]:
-    """Multiply out the steps 1, ..., n that ``fill`` writes, and record
-    f, P (:func:`_readout`) and d(V(j)) at every step."""
-    fid, sur, dist = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
-    fid[0], sur[0], dist[0] = params.x * params.x, 1.0, 0.0
-    j = 1
+def _propagate(
+    runs: Sequence[tuple[SearchParams, StepSource, int]],
+) -> list[tuple[np.ndarray, RunRecord]]:
+    """Multiply out the steps 1, ..., n that ``fill`` writes for each run
+    (params, fill, n), all in one pass of the kernel, and return V(n) and
+    the record of f, P (:func:`_readout`) and d(V(j)) at every step."""
+    params = [p for p, _, _ in runs]
+    series = [np.empty((3, n + 1)) for _, _, n in runs]  # f, P and d of each run
+    for p, fpd in zip(params, series):
+        fpd[:, 0] = p.x * p.x, 1.0, 0.0
+    ends = [None] * len(runs)
     with np.errstate(invalid="ignore", over="ignore"):
-        for W, g in _scan(fill, n, record=True):
-            k = min(g.size, n + 1 - j)
-            dist[j : j + k] = _distance(W, g).ravel()[:k]
-            f, P = _readout(params, W, g)
-            fid[j : j + k], sur[j : j + k] = f.ravel()[:k], P.ravel()[:k]
-            j += k
-    over = np.flatnonzero(np.isinf(sur) | np.isinf(dist))  # P <= ||V||_F^2: d goes first
-    if over.size:
-        raise ValueError(f"P or d overflows from step {over[0]} on: outside the engine's regime")
-    last = np.unravel_index(k - 1, g.shape)  # step n
-    V = W[(...,) + last] * np.ldexp(1.0, g[last])
-    return V, RunRecord.from_series(params, fid, sur, np.isnan(fid), dist)
+        for W, g, spans in _scan([(fill, n) for _, fill, n in runs], record=True):
+            x = np.empty((len(g), 1))  # the overlap of each column's run
+            for s, lo, hi, _ in spans:
+                x[lo:hi] = params[s].x
+            f, P = _readout(x, W, g)
+            d = _distance(W, g)
+            for s, lo, hi, first in spans:
+                k = min(_CHUNK * (hi - lo), runs[s][2] + 1 - first)
+                for row, col in zip(series[s], (f, P, d)):
+                    row[first : first + k] = col[lo:hi].ravel()[:k]
+                if first + k > runs[s][2]:  # step n
+                    last = (lo + (k - 1) // _CHUNK, (k - 1) % _CHUNK)
+                    ends[s] = W[(...,) + last] * np.ldexp(1.0, g[last])
+    out = []
+    for p, (fid, sur, dist), V in zip(params, series, ends):
+        over = np.flatnonzero(np.isinf(sur) | np.isinf(dist))  # P <= ||V||_F^2: d goes first
+        if over.size:
+            raise ValueError(
+                f"P or d overflows from step {over[0]} on: outside the engine's regime"
+            )
+        out.append((V, RunRecord.from_series(p, fid, sur, np.isnan(fid), dist)))
+    return out
+
+
+def _run_protocols(
+    params: Sequence[SearchParams], n_max: Optional[int], engine: str
+) -> list[RunRecord]:
+    """:func:`run_protocol` of each of ``params``, all in one pass of the kernel."""
+    runs = [(p, _step_source(p, engine), p.step_count(n_max)) for p in params]
+    return [record for _, record in _propagate(runs)]
 
 
 def run_protocol(
@@ -296,8 +349,24 @@ def run_protocol(
     """Run ``engine`` (of :data:`ENGINES` or :data:`FAULTS`) for n_max steps,
     by default n_G, and record every step, row 0 the initial state.  f stays
     meaningful long after P underflows: the kernel keeps V(j) rescaled."""
-    n = params.step_count(n_max)
-    return _propagate(params, _step_source(params, engine), n)[1]
+    return _run_protocols([params], n_max, engine)[0]
+
+
+def _final_readouts(
+    params: Sequence[SearchParams], n: Optional[int] = None
+) -> list[tuple[float, float, float]]:
+    """:func:`final_readout` of each of ``params``, all in one pass of the kernel."""
+    runs = [(_step_source(p, "exact"), p.step_count(n)) for p in params]
+    out = [None] * len(params)
+    with np.errstate(invalid="ignore"):
+        for W, g, spans in _scan(runs, record=False):
+            # the last row of a run's last chunk, identities past step n, is V(n)
+            W, g = W[..., -1], g[:, -1]
+            f, P = _readout(np.array([params[s].x for s, *_ in spans]), W, g)
+            d = _distance(W, g)
+            for i, (s, *_) in enumerate(spans):
+                out[s] = float(f[i]), 0.0 if P[i] < SURVIVAL_FLOOR else float(P[i]), float(d[i])
+    return out
 
 
 def final_readout(params: SearchParams, n: Optional[int] = None) -> tuple[float, float, float]:
@@ -306,10 +375,4 @@ def final_readout(params: SearchParams, n: Optional[int] = None) -> tuple[float,
     the record's last row bit for bit.  The exact engine's P never rises, so
     P below the survival floor reads 0, as it does there; f reads nan where
     V(n)|s> = 0 exactly, where the record holds its last direction."""
-    n = params.step_count(n)
-    for W, g in _scan(_step_source(params, "exact"), n, record=False):
-        pass  # the last product of the last batch is V(n)
-    W, g = W[..., -1, -1], g[-1, -1]
-    with np.errstate(invalid="ignore"):
-        f, P = _readout(params, W, g)
-    return float(f), 0.0 if P < SURVIVAL_FLOOR else float(P), float(_distance(W, g))
+    return _final_readouts([params], n)[0]

@@ -458,6 +458,20 @@ class TestSweepEps:
         assert main(base + ["--out", str(out8), "--jobs", "8"]) == 0
         assert out1.read_bytes() == out8.read_bytes()
 
+    def test_q_recipe_bytes_do_not_depend_on_jobs(self, tmp_path):
+        # the 81 points run as one kernel pass at --jobs 1 and as two slices at 2
+        base = [
+            "sweep-eps", "--n", "1e18", "--k", "1000000", "--tau", "0.2", "--alpha", "0.3",
+            "--grid=-10:10:81",
+        ]
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"q{jobs}.csv"
+            assert main(base + ["--out", str(out), "--jobs", jobs]) == 0
+            meta = out.with_name(out.name + ".meta.json")
+            outputs.append((out.read_bytes(), meta.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_divergent_points_flagged(self, tmp_path):
         out = tmp_path / "eps.csv"
         ratio = 2 * math.sqrt(3)
@@ -566,24 +580,32 @@ class TestVerify:
         assert f"verify: {EQUIVALENCE_STEPS})" in " ".join(capsys.readouterr().out.split())
 
     def test_injected_fault_fails_in_worker_processes(self, capsys):
+        # the default matrix: its 4 (N, eps, steps) groups fan out to 2 workers
         rc = main([
-            "verify", "--n", "8", "--steps", "40", "--inject-fault", "hdown-sign",
-            "--jobs", "2",
+            "verify", "--steps", "40", "--inject-fault", "hdown-sign", "--jobs", "2",
         ])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_parallel_bytes_identical(self, tmp_path, capsys):
+        # the default matrix: its 4 (N, eps, steps) groups fan out to 2 workers
         outputs = []
         for jobs in ("1", "2"):
             out = tmp_path / f"v{jobs}.csv"
-            rc = main(["verify", "--n", "16", "--steps", "40", "--out", str(out),
-                       "--jobs", jobs])
+            rc = main(["verify", "--steps", "40", "--out", str(out), "--jobs", jobs])
             assert rc == 0
             stdout = capsys.readouterr().out
             meta = out.with_name(out.name + ".meta.json").read_bytes()
             outputs.append((stdout, out.read_bytes(), meta))
         assert outputs[0] == outputs[1]
+
+    def test_single_size_stdout_does_not_depend_on_jobs(self, capsys):
+        # one (N, eps, steps) group of 27 cases, which runs in one process
+        stdouts = []
+        for jobs in ("1", "2"):
+            assert main(["verify", "--n", "8", "--steps", "40", "--jobs", jobs]) == 0
+            stdouts.append(capsys.readouterr().out)
+        assert stdouts[0] == stdouts[1]
 
 
 class TestEffCompare:

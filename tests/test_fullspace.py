@@ -348,6 +348,35 @@ class TestBatch:
             assert np.array_equal(record.fidelity, alone.fidelity)
             assert np.array_equal(record.survival, alone.survival)
 
+    @pytest.mark.parametrize("N", [16, 129])
+    def test_mixed_target_member_equals_single_run(self, N):
+        # a group of verify: three targets, nine (dt, dtheta) each, one batch
+        cases = default_equivalence_cases(sizes=(N,), steps=120)
+        assert len({c.w for c in cases}) == 3
+        params = [make_case_params(c) for c in cases]
+        records = _propagate(N, [c.w for c in cases], params, 120)
+        for record, case, p in zip(records, cases, params):
+            alone = simulate_full_protocol(N, case.w, p, n_max=120)
+            assert np.array_equal(record.fidelity, alone.fidelity)
+            assert np.array_equal(record.survival, alone.survival)
+
+    def test_group_memory_does_not_grow_with_its_size(self, monkeypatch):
+        # slices of at most two rows of the (2, B, N) state: 4 MB at N = 2**16
+        import tracemalloc
+
+        N = 2**16
+        monkeypatch.setattr(fullspace, "_BATCH_BYTES", 2 * 32 * N)
+        peaks = []
+        for size in (2, 8):
+            cases = [EquivalenceCase(N, w, 1.0, 0.01, steps=2) for w in range(size)]
+            tracemalloc.start()
+            results = equivalence_suite(cases)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert all(r.passed() for r in results)
+        assert peaks[1] < 1.2 * peaks[0]
+
+
 class TestApply:
     @pytest.mark.parametrize("N", [2, 16, 129])
     def test_double_matches_complex_matmul(self, N):
@@ -383,6 +412,15 @@ class TestEquivalenceSuite:
         ]
         bad = equivalence_suite(cases, engine="hdown-sign")
         assert not bad[0].passed()
+
+    def test_unknown_engine_fails_before_the_full_space(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("the full space ran before the engine name was checked")
+
+        monkeypatch.setattr(fullspace, "_propagate", reached)
+        cases = [EquivalenceCase(N=16, w=3, delta_t=1.0, delta_theta=0.01, steps=5)]
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            equivalence_suite(cases, engine="bogus")
 
 
 class TestDefaultCases:

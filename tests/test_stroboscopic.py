@@ -148,7 +148,12 @@ def _entries(fill, n):
 def _product(p, n, engine="exact"):
     """(V(n), record) of ``engine`` through the kernel: V(n) is what no
     public call returns."""
-    return stroboscopic._propagate(p, stroboscopic._step_source(p, engine), n)
+    return _propagate_one(p, stroboscopic._step_source(p, engine), n)
+
+
+def _propagate_one(p, fill, n):
+    """(V(n), record) of the one run (p, fill, n) through the kernel."""
+    return stroboscopic._propagate([(p, fill, n)])[0]
 
 
 def _steps_case(N, n=None, engine="exact", **kwargs):
@@ -160,14 +165,14 @@ def _steps_case(N, n=None, engine="exact", **kwargs):
     return build
 
 
-def _zero_step_case():
+def _zero_step_case(engine="exact"):
     # step 70 (in the second chunk) annihilates the state exactly
     p = make_params(1e4, 1.0, alpha=0.3)
     n = 200
-    exact = stroboscopic._step_source(p, "exact")
+    source = stroboscopic._step_source(p, engine)
 
     def fill(j, out):
-        exact(j, out)
+        source(j, out)
         out[:, :, j == 70] = 0.0
 
     return p, n, lambda: fill
@@ -206,7 +211,7 @@ class TestKernelMatchesSequentialLoop:
             steps = 3 * 64 if case == "sweep_dt_pi" else 40
             monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", steps)
         p, n, source = _KERNEL_CASES[case]()
-        V, got = stroboscopic._propagate(p, source(), n)
+        V, got = _propagate_one(p, source(), n)
         V_ref, ref = _sequential_propagate(p, _entries(source(), n).tolist(), n)
         assert np.max(np.abs(got.fidelity - ref.fidelity)) <= 1e-12
         live = ref.survival > 0
@@ -232,6 +237,61 @@ class TestKernelMatchesSequentialLoop:
         ref = M[:, :, :1] * K[:1] + M[:, :, 1:] * K[1:]
         stroboscopic._times_carry(M, K, *np.empty((2, 64, 3), dtype=complex))
         assert np.array_equal(M, ref)
+
+
+def _batch_cases(engine):
+    """Runs of ``engine`` of 1, 63, 64, 65 and 470 steps and the deep-damping,
+    annihilating and zero-step cases of _KERNEL_CASES, as (params, n, source)."""
+    builders = [_steps_case(1e6, n, engine, k=1, tau=0.2, alpha=0.3) for n in (1, 63, 64, 65, 470)]
+    builders += [
+        _steps_case(4.0, 3000, engine, delta_t=math.pi, delta_theta=0.01),
+        _steps_case(1e4, 12, engine, delta_t=1.0, delta_theta=math.pi / 2),
+        lambda: _zero_step_case(engine),
+    ]
+    return [build() for build in builders]
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("block", [stroboscopic._BLOCK_STEPS, 64, 3 * 64])
+    @pytest.mark.parametrize("engine", ["exact", "hdown-sign", "effective"])
+    def test_each_run_equals_its_single_run(self, engine, block, monkeypatch):
+        # batches of 1 and 3 chunks: the 470- and 3000-step runs span batch
+        # boundaries, and the carry with its exponent must cross them
+        monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", block)
+        cases = _batch_cases(engine)
+        batch = stroboscopic._propagate([(p, source(), n) for p, n, source in cases])
+        for (p, n, source), (V, record) in zip(cases, batch):
+            V1, alone = _propagate_one(p, source(), n)
+            assert np.array_equal(V, V1)
+            for name in ("fidelity", "survival", "distance"):
+                assert np.array_equal(getattr(record, name), getattr(alone, name))
+            assert record.underflow == alone.underflow
+
+    @pytest.mark.parametrize("block", [stroboscopic._BLOCK_STEPS, 64])
+    def test_final_readouts_equal_single_readouts(self, block, monkeypatch):
+        # the 81 points of the q recipe, 499 steps each, then three sweep-dt
+        # points of 50 000 steps: n_G differs from run to run
+        monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", block)
+        base = make_params(1e18, k=1000000, tau=0.2, alpha=0.3)
+        points = [
+            make_params(base.N, base.delta_t, delta_theta=base.delta_theta, epsilon=r * base.x)
+            for r in np.linspace(-10, 10, 81)
+        ]
+        points += [make_params(1e10, dt, alpha=0.3) for dt in (3.1, 3.1416, 3.2)]
+        assert stroboscopic._final_readouts(points) == [final_readout(p) for p in points]
+
+    def test_overflow_raises_alone_and_in_a_batch(self):
+        p = make_params(4.0, math.pi, delta_theta=0.01)
+        message = "P or d overflows from step 1276 on"
+        with pytest.raises(ValueError, match=message):
+            run_protocol(p, 3000, "approx")
+        fine = make_params(1e6, k=1, tau=0.2, alpha=0.3)
+        runs = [
+            (q, stroboscopic._step_source(q, engine), n)
+            for q, engine, n in ((fine, "exact", 470), (p, "approx", 3000), (fine, "exact", 65))
+        ]
+        with pytest.raises(ValueError, match=message):
+            stroboscopic._propagate(runs)
 
 
 class TestStepSource:
@@ -269,7 +329,7 @@ class TestStepSource:
             seen.extend(j.ravel().tolist())
             source(j, out)
 
-        stroboscopic._propagate(p, recording, n)
+        _propagate_one(p, recording, n)
         assert sorted(seen) == list(range(1, n + 1))
 
 
@@ -584,14 +644,14 @@ class TestAccumulate:
         assert np.all(np.isfinite(record.fidelity))
         assert np.all(np.diff(record.survival) <= 1e-12)
 
-    def test_final_distance_matches_record(self):
+    def test_final_readout_matches_record(self):
         p = make_params(1e6, math.pi + 0.2, alpha=0.3)
         record = run_protocol(p, 200)
         assert final_readout(p, 200)[2] == pytest.approx(
             record.distance[-1], abs=1e-15
         )
 
-    def test_final_distance_streams_the_record_product(self, monkeypatch):
+    def test_final_readout_streams_the_record_product(self, monkeypatch):
         # across many blocks of step entries the result is the record's last
         # distance bit for bit, and memory does not grow with n
         monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", 64)
@@ -662,7 +722,7 @@ def _traced_peak_mb(fn) -> float:
 
 
 class TestWorkingSet:
-    def test_final_distance_holds_one_step_buffer(self):
+    def test_final_readout_holds_one_step_buffer(self):
         # the centre of the d_pi sweep: 49 999 steps in 4 batches of the
         # kernel's 1 MB step buffer
         p = make_params(1e10, 3.1416, alpha=0.3)
@@ -677,6 +737,24 @@ class TestWorkingSet:
         assert _traced_peak_mb(lambda: run_protocol(p, 20000)) <= 3.35
 
 
+def _mp_product(fill, steps):
+    """The entries (a, b, c, d) of V(steps) = V_steps ... V_1 for the double
+    step entries that ``fill`` writes, multiplied out in 30-digit arithmetic;
+    call under ``mpmath.workdps(30)``."""
+    import mpmath
+
+    a, b, c, d = mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(1)
+    for v in _entries(fill, steps).tolist():
+        v00, v01, v10, v11 = map(mpmath.mpc, v)
+        a, b, c, d = (
+            v00 * a + v01 * c,
+            v00 * b + v01 * d,
+            v10 * a + v11 * c,
+            v10 * b + v11 * d,
+        )
+    return a, b, c, d
+
+
 class TestFinalDistancePrecision:
     @pytest.mark.parametrize(
         "delta_t, steps", [(9.4248, 16666), (25.1327, 6250)], ids=["3pi", "8pi"]
@@ -689,17 +767,32 @@ class TestFinalDistancePrecision:
         p = make_params(1e10, delta_t, alpha=0.3)
         assert p.n_G == steps
         with mpmath.workdps(30):
-            a, b, c, d = mpmath.mpc(1), mpmath.mpc(0), mpmath.mpc(0), mpmath.mpc(1)
-            for v in _entries(stroboscopic._step_source(p, "exact"), steps).tolist():
-                v00, v01, v10, v11 = map(mpmath.mpc, v)
-                a, b, c, d = (
-                    v00 * a + v01 * c,
-                    v00 * b + v01 * d,
-                    v10 * a + v11 * c,
-                    v10 * b + v11 * d,
-                )
+            a, b, c, d = _mp_product(stroboscopic._step_source(p, "exact"), steps)
             ref = 1 - (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2) / 2
         assert abs(final_readout(p, steps)[2] - float(ref)) <= 1e-12
+
+
+class TestFinalReadoutPrecision:
+    @pytest.mark.parametrize(
+        "steps", [20_000, pytest.param(100_000, marks=pytest.mark.slow)]
+    )
+    def test_matches_30_digit_product_at_n_1e18(self, steps):
+        # a prefix of the 4.7e8 steps of N = 1e18, k = 1: the same double step
+        # entries multiplied out in 30-digit arithmetic; f is near 1e-8 there
+        import mpmath
+
+        p = make_params(1e18, k=1, tau=0.2, alpha=0.3)
+        f, P, d = final_readout(p, steps)
+        with mpmath.workdps(30):
+            a, b, c, e = _mp_product(stroboscopic._step_source(p, "exact"), steps)
+            x, r = mpmath.mpf(p.x), mpmath.mpf(math.sqrt(1.0 - p.x * p.x))
+            amp0 = abs(a * x + b * r) ** 2
+            ref_P = amp0 + abs(c * x + e * r) ** 2
+            ref_f = amp0 / ref_P
+            ref_d = 1 - (abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(e) ** 2) / 2
+        assert abs(f / float(ref_f) - 1.0) <= 1e-11
+        assert abs(P / float(ref_P) - 1.0) <= 1e-11
+        assert abs(d - float(ref_d)) <= 1e-11
 
 
 def p_x3(N):
