@@ -31,9 +31,8 @@ from .model import (
     SearchParams,
     grover_fidelity_closed_form,
     make_params,
-    parallel_map,
 )
-from .stroboscopic import ENGINES, FAULTS, final_readout, run_protocol
+from .stroboscopic import ENGINES, FAULTS, _final_readouts, run_protocol
 
 # every command runs the modules above; the effective engine, the full-space
 # oracle and the scaling planner are imported inside the commands that call
@@ -187,18 +186,15 @@ def cmd_run(config: RunConfig) -> int:
     return 0
 
 
-def _dt_point(config: RunConfig) -> tuple[float, int, float]:
-    params = config.build_params()
-    n = params.step_count(config.steps)
-    return config.delta_t, n, final_readout(params, n)[2]
-
-
 def cmd_sweep_dt(config: RunConfig) -> int:
-    """Distance from unitarity of the accumulated process across a dt grid."""
+    """Distance from unitarity of the accumulated process across a dt grid,
+    the whole grid read in one pass of the kernel."""
     if config.grid is None:
         raise ValueError("sweep-dt needs --grid lo:hi:count")
-    work = [replace(config, delta_t=float(dt)) for dt in np.linspace(*config.grid)]
-    dts, ns, ds = zip(*parallel_map(_dt_point, work, config.jobs))
+    dts = [float(dt) for dt in np.linspace(*config.grid)]
+    points = [replace(config, delta_t=dt).build_params() for dt in dts]
+    ns = [p.step_count(config.steps) for p in points]
+    ds = [d for _, _, d in _final_readouts(points, config.steps, config.jobs)]
     imin = int(np.argmin(ds))
     summary = {
         "min_distance": ds[imin],

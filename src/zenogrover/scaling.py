@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import SearchParams, make_params, overlap_x, parallel_map
+from .model import SearchParams, make_params, overlap_x
 from .stroboscopic import _final_readouts, run_protocol
 
 __all__ = [
@@ -201,24 +201,32 @@ class QualityReport:
         return self.f_nu * self.P_nu
 
 
-def _quality_points(item: tuple[SearchParams, Sequence[float]]) -> list[QualityReport]:
-    """The quality factor at the detunings ``ratios`` (in units of x) of
-    ``base``, its protocols read out in one pass of the kernel."""
-    base, ratios = item
-    x = base.x
+def quality_factor_sweep(
+    params_base: SearchParams,
+    eps_over_x: Sequence[float],
+    jobs: int = 1,
+) -> list[QualityReport]:
+    """Evaluate the quality factor on a grid of detunings given in units of x
+    (so the sweep shape is size-independent).  The points run through the
+    kernel together; with ``jobs > 1`` contiguous slices of them are fanned
+    out to worker processes, and the output order always follows the input
+    grid."""
+    x = params_base.x
     T0 = math.pi / (2.0 * x)
+    ratios = [float(r) for r in eps_over_x]
     epsilons = [r * x for r in ratios]
     points = [
         make_params(
-            base.N, base.delta_t, delta_theta=base.delta_theta, theta0=base.theta0, epsilon=eps
+            params_base.N, params_base.delta_t, delta_theta=params_base.delta_theta,
+            theta0=params_base.theta0, epsilon=eps,
         )
         for eps in epsilons
     ]
     reports = []
     for ratio, eps, params, (f_nu, P_nu, _) in zip(
-        ratios, epsilons, points, _final_readouts(points)
+        ratios, epsilons, points, _final_readouts(points, jobs=jobs)
     ):
-        f_G = detuned_fidelity_analytic(T0, base.N, eps)
+        f_G = detuned_fidelity_analytic(T0, params_base.N, eps)
         divergent = f_G < QUALITY_FLOOR
         success_nu = f_nu * P_nu
         reports.append(QualityReport(
@@ -233,19 +241,3 @@ def _quality_points(item: tuple[SearchParams, Sequence[float]]) -> list[QualityR
             t_result_G=math.inf if divergent else T0 / f_G,
         ))
     return reports
-
-
-def quality_factor_sweep(
-    params_base: SearchParams,
-    eps_over_x: Sequence[float],
-    jobs: int = 1,
-) -> list[QualityReport]:
-    """Evaluate the quality factor on a grid of detunings given in units of x
-    (so the sweep shape is size-independent).  The points run through the
-    kernel together; with ``jobs > 1`` contiguous slices of them are fanned
-    out to worker processes, and the output order always follows the input
-    grid."""
-    ratios = [float(r) for r in eps_over_x]
-    size = max(1, -(-len(ratios) // max(1, jobs)))  # points per slice
-    work = [(params_base, ratios[s : s + size]) for s in range(0, len(ratios), size)]
-    return [r for reports in parallel_map(_quality_points, work, jobs) for r in reports]

@@ -7,11 +7,10 @@ subspace spanned by the target |w> and the residual |r> as
     V_j = C_j P + S_j Q,
     C_j = cos(theta_{j-1}) cos(theta_j),  S_j = sin(theta_{j-1}) sin(theta_j),
 
-with (P, Q) a fixed matrix pair per engine: the block propagators
-(exp(-i h_up dt), exp(-i h_dn dt)) of the two ancilla blocks for the exact
-engine, the small-overlap matrices for the approximate one.  The block
-propagators and the effective engine's substep exponentials are one closed
-form, :func:`_expm_2x2` of a generator's trace part and traceless entries.
+with (P, Q) the block propagators (exp(-i h_up dt), exp(-i h_dn dt)) of the
+two ancilla blocks.  They and the effective engine's substep exponentials
+are one closed form, :func:`_expm_2x2` of a generator's trace part and
+traceless entries.
 ``verify --inject-fault hdown-sign`` runs the suite against the exact engine
 with Q = P (its down block's driving term left unflipped), and must fail.
 Since C_j + S_j = cos(dtheta) and C_j - S_j = cos(theta_{j-1} + theta_j),
@@ -22,7 +21,7 @@ Since C_j + S_j = cos(dtheta) and C_j - S_j = cos(theta_{j-1} + theta_j),
 which is two fixed matrices and one cosine array.  The engine accumulates the
 ordered product V(n) = V_n ... V_1 and reads from it the survival probability
 ||V(n)|s>||^2, the fidelity (from the direction of V(n)|s>) and the unitarity
-distance of the accumulated operator; a run whose P or d overflows raises.
+distance of the accumulated operator.
 
 The engine is a value: :func:`run_protocol` runs and records, and
 :func:`step_operator` returns one step of, any engine of :data:`ENGINES` or
@@ -30,12 +29,12 @@ The engine is a value: :func:`run_protocol` runs and records, and
 without a record, for the sweeps.  A run takes at most 2**52 steps, as phi_j
 takes 2j - 1 to a double.  One numpy kernel, :func:`_scan`, multiplies out
 the steps of every 2x2 engine, the effective one included, for many runs at
-once: ``verify`` hands it the subspace side of a group of cases and
-``sweep-eps`` its grid, and a single run is a batch of one.  An engine enters
-through its step source, ``fill(j, out)``, which writes V_j for every index
-of an integer array j of steps 1, ..., n into ``out`` of shape
-(2, 2, *j.shape); :func:`_step_source` is the one place that turns an engine
-name into a step source.  Inside chunks of _CHUNK steps, prefix products take
+once: ``verify`` hands it the subspace side of a group of cases, each sweep
+its grid, and a single run is a batch of one.  An engine enters through its
+step source, ``fill(j, out)``, which writes V_j for every index of an integer
+array j of steps 1, ..., n into ``out`` of shape (2, 2, *j.shape);
+:func:`_step_source` is the one place that turns an engine name into a step
+source.  Inside chunks of _CHUNK steps, prefix products take
 _CHUNK - 1 rounds vectorised across the chunks of all the runs side by side
 (Blelloch, "Prefix sums and their applications", 1990); a carry per run, the
 product of its earlier chunks, joins them.  The rounds are elementwise over
@@ -49,13 +48,13 @@ length or the number of runs.
 
 from __future__ import annotations
 
-import cmath
 import math
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .model import SURVIVAL_FLOOR, RunRecord, SearchParams
+from .model import SURVIVAL_FLOOR, RunRecord, SearchParams, parallel_map
 
 __all__ = [
     "ENGINES",
@@ -68,7 +67,7 @@ __all__ = [
 
 
 #: the engines that run a protocol; :func:`_step_source` defines them
-ENGINES = ("exact", "approx", "effective")
+ENGINES = ("exact", "effective")
 
 #: the named faults of the exact engine, defined there too
 FAULTS = ("hdown-sign",)
@@ -104,44 +103,29 @@ def _step_source(params: SearchParams, engine: str) -> StepSource:
     """The steps of ``engine``, one of :data:`ENGINES` or :data:`FAULTS`, as
     a step source: the only place that turns an engine name into steps.
 
-    The effective engine's steps come from its integrator.  Every other
-    engine is a fixed pair (P, Q), and its steps are V_j = cos(dtheta) (P+Q)/2
-    + cos(phi_j) (P-Q)/2: the block propagators for ``exact``, Q = P for its
-    fault ``hdown-sign``, and for ``approx`` the small-overlap steps (x -> 0,
-    x dt << 1, global phase dropped; the regime is the caller's to keep) with
-    diagonal (C_j + S_j, C_j + S_j e^{-2i dt}) and both off-diagonal entries
-    i C_j x dt - (S_j x / 2)(1 - e^{-2i dt})."""
+    The effective engine's steps come from its integrator.  The exact engine
+    is the pair (P, Q) of block propagators, and its steps are V_j =
+    cos(dtheta) (P+Q)/2 + cos(phi_j) (P-Q)/2; its fault ``hdown-sign`` takes
+    Q = P."""
     if engine == "effective":
         from .effective import _effective_source  # exact runs never load it
 
         return _effective_source(params)
-    if engine in ("exact", *FAULTS):
-        x = params.x
-        c = math.sqrt(1.0 - x * x)  # |s> = x|w> + c|r>
-
-        def block(sign: float) -> np.ndarray:
-            # exp(-i h dt) of the block h = -(1+eps)|w><w| + sign |s><s| of
-            # ancilla up (sign = -1) or down (+1): the driving terms cancel in the sum
-            h00, h11 = -(1.0 + params.epsilon) + sign * x * x, sign * c * c
-            a = 0.5 * (h00 + h11)
-            t00, t01 = h00 - a, sign * x * c
-            return _expm_2x2(a, t00, t01, math.hypot(t00, abs(t01)), params.delta_t)
-
-        P = block(-1.0)
-        Q = P if engine == "hdown-sign" else block(1.0)
-    elif engine == "approx":
-        if params.epsilon != 0.0:
-            raise ValueError(
-                f"the approx engine has no detuning term, got eps={params.epsilon!r}"
-            )
-        x, dt = params.x, params.delta_t
-        damp = cmath.exp(-2j * dt)
-        ixdt = 1j * x * dt
-        off = 0.5 * x * (1.0 - damp)
-        P = np.array([[1.0, ixdt], [ixdt, 1.0]], dtype=complex)
-        Q = np.array([[1.0, -off], [-off, damp]], dtype=complex)
-    else:
+    if engine not in ("exact", *FAULTS):
         raise ValueError(f"unknown engine {engine!r}")
+    x = params.x
+    c = math.sqrt(1.0 - x * x)  # |s> = x|w> + c|r>
+
+    def block(sign: float) -> np.ndarray:
+        # exp(-i h dt) of the block h = -(1+eps)|w><w| + sign |s><s| of
+        # ancilla up (sign = -1) or down (+1): the driving terms cancel in the sum
+        h00, h11 = -(1.0 + params.epsilon) + sign * x * x, sign * c * c
+        a = 0.5 * (h00 + h11)
+        t00, t01 = h00 - a, sign * x * c
+        return _expm_2x2(a, t00, t01, math.hypot(t00, abs(t01)), params.delta_t)
+
+    P = block(-1.0)
+    Q = P if engine == "hdown-sign" else block(1.0)
     mean = (0.5 * math.cos(params.delta_theta)) * (P + Q)
     half = 0.5 * (P - Q)
 
@@ -310,7 +294,7 @@ def _propagate(
     for p, fpd in zip(params, series):
         fpd[:, 0] = p.x * p.x, 1.0, 0.0
     ends = [None] * len(runs)
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore"):
         for W, g, spans in _scan([(fill, n) for _, fill, n in runs], record=True):
             x = np.empty((len(g), 1))  # the overlap of each column's run
             for s, lo, hi, _ in spans:
@@ -324,15 +308,10 @@ def _propagate(
                 if first + k > runs[s][2]:  # step n
                     last = (lo + (k - 1) // _CHUNK, (k - 1) % _CHUNK)
                     ends[s] = W[(...,) + last] * np.ldexp(1.0, g[last])
-    out = []
-    for p, (fid, sur, dist), V in zip(params, series, ends):
-        over = np.flatnonzero(np.isinf(sur) | np.isinf(dist))  # P <= ||V||_F^2: d goes first
-        if over.size:
-            raise ValueError(
-                f"P or d overflows from step {over[0]} on: outside the engine's regime"
-            )
-        out.append((V, RunRecord.from_series(p, fid, sur, np.isnan(fid), dist)))
-    return out
+    return [
+        (V, RunRecord.from_series(p, fid, sur, np.isnan(fid), dist))
+        for p, (fid, sur, dist), V in zip(params, series, ends)
+    ]
 
 
 def _run_protocols(
@@ -353,9 +332,17 @@ def run_protocol(
 
 
 def _final_readouts(
-    params: Sequence[SearchParams], n: Optional[int] = None
+    params: Sequence[SearchParams], n: Optional[int] = None, jobs: int = 1
 ) -> list[tuple[float, float, float]]:
-    """:func:`final_readout` of each of ``params``, all in one pass of the kernel."""
+    """:func:`final_readout` of each of ``params``, all in one pass of the
+    kernel.  With ``jobs > 1``, contiguous slices of them are fanned out to
+    worker processes, a pass each; a run's products do not depend on its
+    neighbours, so the result does not depend on ``jobs``."""
+    size = max(1, -(-len(params) // max(1, jobs)))  # runs per slice
+    if size < len(params):
+        slices = [params[s : s + size] for s in range(0, len(params), size)]
+        return [r for out in parallel_map(partial(_final_readouts, n=n), slices, jobs)
+                for r in out]
     runs = [(_step_source(p, "exact"), p.step_count(n)) for p in params]
     out = [None] * len(params)
     with np.errstate(invalid="ignore"):

@@ -44,17 +44,16 @@ from workloads import Command  # noqa: E402
 #: seconds a command may run before it is stopped
 TIMEOUT = 60
 
-#: commands beyond the benchmark's: both verify defaults, the approx engine,
-#: a deep-damping run at N = 4, a long exact run, eq. 11 at a tiny rotation
-#: from theta0 != 0, the effective engine from theta0 != 0 and at -+dtheta,
-#: eight inputs that must exit 2 (a plan at |tau| >= pi/2, an approx run
-#: that overflows, a step count that overflows, an effective step beyond its
-#: substep limit, a plan given --alpha without --check, and three step counts
-#: beyond 2**52), and a plan whose k2_raw no double resolves
+#: commands beyond the benchmark's: both verify defaults, a deep-damping run
+#: at N = 4, a long exact run, eq. 11 at a tiny rotation from theta0 != 0,
+#: the effective engine from theta0 != 0 and at -+dtheta, seven inputs that
+#: must exit 2 (a plan at |tau| >= pi/2, a step count that overflows, an
+#: effective step beyond its substep limit, a plan given --alpha without
+#: --check, and three step counts beyond 2**52), and a plan whose k2_raw no
+#: double resolves
 EXTRA = (
     Command("verify", ("verify",)),
     Command("verify_n4", tuple("verify --n 4 --steps 700".split())),
-    Command("run_approx", tuple("run --engine approx --n 1e10 --dt 3.3416 --alpha 0.3".split())),
     Command("run_n4", tuple("run --n 4 --dt 3.141592653589793 --dtheta 0.01 --steps 3000".split())),
     Command("run_1e12", tuple("run --n 1e12 --k 1 --tau 0.2 --alpha 0.3".split())),
     Command("eff_compare_theta0", tuple(
@@ -62,9 +61,6 @@ EXTRA = (
     Command("run_effective_theta0", tuple(
         "run --engine effective --n 1e6 --k 1 --tau 0.2 --alpha 0.3 --theta0 0.3".split())),
     Command("plan_tau_2", tuple("plan-scale --n 1e6 --k 1 --tau 2 --nr 1e8".split()),
-            writes=False),
-    Command("run_approx_overflow", tuple(
-        "run --engine approx --n 4 --dt 3.141592653589793 --dtheta 0.01 --steps 3000".split()),
             writes=False),
     Command("run_dt_overflow", tuple("run --n 1e6 --dt 1e-320 --steps 3".split()),
             writes=False),

@@ -140,14 +140,8 @@ class TestBadInput:
             # conflicting ways to set one parameter: neither may be dropped
             ["run", "--n", "1e6", "--dt", "1.0", "--k", "1", "--tau", "0.2"],
             ["run", "--n", "1e6", "--dt", "1.0", "--alpha", "0.3", "--dtheta", "0.01"],
-            # the approx engine has no detuning term, so eps cannot be applied
-            ["run", "--engine", "approx", "--n", "1e6", "--k", "1", "--tau", "0.2",
-             "--alpha", "0.3", "--eps", "0.5"],
             # no engine runs |tau| >= pi/2, so no plan may call it valid
             ["plan-scale", "--n", "1e6", "--k", "1", "--tau", "2", "--nr", "1e8"],
-            # the approx engine far outside x dt << 1: P = inf from step 1277 on
-            ["run", "--engine", "approx", "--n", "4", "--dt", "3.141592653589793",
-             "--dtheta", "0.01", "--steps", "3000"],
             # pi sqrt(N)/(2 dt) overflows, so no step count n_G exists
             ["run", "--n", "1e6", "--dt", "1e-320", "--steps", "3"],
             ["sweep-eps", "--n", "1e300", "--dt", "1e-300", "--grid", "0:1:2"],
@@ -169,8 +163,8 @@ class TestBadInput:
         ],
         ids=["alpha-nan", "eps-inf", "n-inf", "unwritable-out", "verify-n-inf",
              "plan-nr-inf", "sweep-dt-steps-0", "jobs-0", "verify-n-non-integer",
-             "record-too-large", "dt-with-k-tau", "dtheta-with-alpha", "approx-eps",
-             "plan-tau-too-large", "approx-overflow", "step-count-overflow-dt",
+             "record-too-large", "dt-with-k-tau", "dtheta-with-alpha",
+             "plan-tau-too-large", "step-count-overflow-dt",
              "step-count-overflow-n", "effective-alpha-huge", "effective-rate-inf",
              "effective-dtheta-1e5", "plan-alpha-without-check", "too-many-steps-run",
              "too-many-steps-sweep-dt", "too-many-steps-sweep-eps"],
@@ -289,7 +283,7 @@ FLAG_VALUES = {
     "theta0": (["0.1"], "theta0", 0.1),
     "eps": (["1e-9"], "epsilon", 1e-9),
     "steps": (["7"], "steps", 7),
-    "engine": (["approx"], "engine", "approx"),
+    "engine": (["effective"], "engine", "effective"),
     "grid": (["1:2:3"], "grid", [1.0, 2.0, 3]),
     "nr": (["1e8"], "N_requested", 1e8),
     "check": ([], "check", True),
@@ -306,14 +300,14 @@ class TestFlagTable:
             (["sweep-eps", "--n", "1e8", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
               "--grid=-1:1:3", "--eps", "1e-9"], "--eps"),
             (["sweep-dt", "--n", "1e6", "--alpha", "0.3", "--grid", "3:3.2:3",
-              "--engine", "approx"], "--engine"),
+              "--engine", "effective"], "--engine"),
             (["sweep-dt", "--n", "1e6", "--alpha", "0.3", "--grid", "3:3.2:3",
               "--dt", "3.0"], "--dt"),
             (["verify", "--n", "8", "--alpha", "0.3"], "--alpha"),
             (["plan-scale", "--n", "1e6", "--k", "1", "--tau", "0.2", "--nr", "1e8",
               "--eps", "1e-9"], "--eps"),
             (["eff-compare", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
-              "--engine", "approx"], "--engine"),
+              "--engine", "effective"], "--engine"),
             (["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--grid", "1:2:3"], "--grid"),
         ],
         ids=["sweep-eps-steps", "sweep-eps-eps", "sweep-dt-engine", "sweep-dt-dt",
@@ -334,8 +328,12 @@ class TestFlagTable:
             (["sweep-eps", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
               "--grid=-inf:1:3"], "--grid"),
             (["verify", "--n", "8", "--inject-fault", "nope"], "--inject-fault"),
+            # the small-overlap engine is gone: only exact and effective run
+            (["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
+              "--engine", "approx"], "--engine: invalid choice"),
         ],
-        ids=["sweep-dt-grid-nan", "sweep-eps-grid-inf", "verify-unknown-fault"],
+        ids=["sweep-dt-grid-nan", "sweep-eps-grid-inf", "verify-unknown-fault",
+             "run-engine-approx"],
     )
     def test_bad_flag_value_exits_2(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.setenv("ZENOGROVER_OUTDIR", str(tmp_path))
@@ -437,11 +435,17 @@ class TestSweepDt:
         assert meta["summary"]["argmin_delta_t"] == pytest.approx(math.pi, abs=1e-12)
 
     def test_parallel_bytes_identical(self, tmp_path):
-        base = ["sweep-dt", "--n", "1e5", "--grid", "2.9:3.4:6", "--alpha", "0.3"]
-        out1, out8 = tmp_path / "j1.csv", tmp_path / "j8.csv"
-        assert main(base + ["--out", str(out1), "--jobs", "1"]) == 0
-        assert main(base + ["--out", str(out8), "--jobs", "8"]) == 0
-        assert out1.read_bytes() == out8.read_bytes()
+        # 6 points on 8 workers run one slice each; 7 points at --jobs 3 run
+        # as uneven slices of 3, 3 and 1
+        for count, jobs in (("6", "8"), ("7", "3")):
+            base = ["sweep-dt", "--n", "1e5", "--grid", f"2.9:3.4:{count}", "--alpha", "0.3"]
+            outputs = []
+            for j in ("1", jobs):
+                out = tmp_path / f"g{count}j{j}.csv"
+                assert main(base + ["--out", str(out), "--jobs", j]) == 0
+                meta = out.with_name(out.name + ".meta.json")
+                outputs.append((out.read_bytes(), meta.read_bytes()))
+            assert outputs[0] == outputs[1]
 
     def test_missing_grid_exits_2(self):
         assert main(["sweep-dt", "--n", "1e6", "--alpha", "0.3"]) == 2
