@@ -2,7 +2,8 @@
 
 Simulates the actual protocol — evolve the ancilla+database state, project the
 ancilla, renormalize — without the 2x2 reduction, to validate the subspace
-engines end to end.
+engines end to end.  The oracle takes N from its parameters and runs only
+an integer N in [2, 2**20] (:func:`_full_size`); any other N is a ValueError.
 
 Each ancilla block of the Hamiltonian is a rank-2 change of zero,
 ``H_b = V A_b Vᵀ`` with ``V = [e_w, |s>]`` (N x 2), Gram matrix
@@ -63,11 +64,14 @@ _BATCH_BYTES = 1 << 28
 EQUIVALENCE_TOLERANCE = 1e-8
 
 
-def _check_target(N: int, w: int) -> None:
-    if not (2 <= N <= MAX_FULLSPACE_N):
-        raise ValueError(f"full-space verifier supports 2 <= N <= {MAX_FULLSPACE_N}, got {N}")
-    if not 0 <= w < N:
-        raise ValueError(f"target index w={w} out of range for N={N}")
+def _full_size(N: float) -> int:
+    """N as the int size of the full space, if N is an integer in
+    [2, MAX_FULLSPACE_N]; any other N is a ValueError."""
+    if not (2 <= N <= MAX_FULLSPACE_N and float(N).is_integer()):
+        raise ValueError(
+            f"the full-space oracle runs an integer N in [2, {MAX_FULLSPACE_N}], got {N!r}"
+        )
+    return int(N)
 
 
 def _step_kernels(N: int, epsilon: float, dt: np.ndarray) -> np.ndarray:
@@ -103,18 +107,19 @@ def _evolve(
 
 
 def _propagate(
-    N: int,
     w: int | Sequence[int],
     params: Sequence[SearchParams],
     n_max: Optional[int],
     state_callback: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> list[RunRecord]:
-    """Run a batch of protocols that share (N, epsilon) in the full space,
-    with target ``w``, one for all cases or one per case; returns one record
-    per case.  ``state_callback`` sees case 0."""
+    """Run a batch of protocols that share (N, epsilon), read from
+    ``params[0]``, in the full space, with target ``w``, one for all cases or
+    one per case; returns one record per case.  ``state_callback`` sees case 0."""
+    N = _full_size(params[0].N)
     w = np.broadcast_to(w, len(params))
     for target in w.tolist():
-        _check_target(N, target)
+        if not 0 <= target < N:
+            raise ValueError(f"target index w={target} out of range for N={N}")
     n_max = params[0].step_count(n_max)
     dt, theta0, dtheta = (
         np.array([getattr(p, k) for p in params]) for k in ("delta_t", "theta0", "delta_theta")
@@ -162,14 +167,14 @@ def _propagate(
 
 
 def simulate_full_protocol(
-    N: int,
     w: int,
     params: SearchParams,
     n_max: Optional[int] = None,
     state_callback: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> RunRecord:
     """Run the protocol in the joint space: evolve by exp(-i H dt), project the
-    ancilla onto the rotated state, renormalize, repeat.
+    ancilla onto the rotated state, renormalize, repeat, in a database of
+    ``params.N`` entries (see :func:`_full_size`).
 
     Fidelity is measured against |w> in the database factor; survival is the
     product of per-step success probabilities.  The distance column is NaN
@@ -177,11 +182,7 @@ def simulate_full_protocol(
     receives the normalized joint state after every successful step j as a
     (2N,) complex array, ancilla-major: index a*N + n, a = 0 up, 1 down.
     """
-    if int(round(params.N)) != N:
-        raise ValueError(
-            f"params.N={params.N!r} does not match the requested size N={N}"
-        )
-    return _propagate(N, w, [params], n_max, state_callback)[0]
+    return _propagate(w, [params], n_max, state_callback)[0]
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ _CASE_SEED = 20260809
 
 
 def default_equivalence_cases(
-    sizes: tuple[int, ...] = (4, 16, 64, 256),
+    sizes: tuple[float, ...] = (4, 16, 64, 256),
     steps: int = EQUIVALENCE_STEPS,
 ) -> list[EquivalenceCase]:
     """The standard verification matrix: for each N in ``sizes``, min(3, N)
@@ -220,7 +221,7 @@ def default_equivalence_cases(
     gets the same targets whatever the other sizes, dt in {1, pi, pi+0.2},
     dtheta in {0, 1e-3, 1e-2}, ``steps`` steps each."""
     cases = []
-    for N in sizes:
+    for N in map(_full_size, sizes):
         for w in random.Random(_CASE_SEED).sample(range(N), min(3, N)):
             for dt in (1.0, math.pi, math.pi + 0.2):
                 for dth in (0.0, 0.001, 0.01):
@@ -256,7 +257,7 @@ def _compare_group(cases: list[EquivalenceCase], engine: str) -> list[Equivalenc
     fulls = [
         record
         for s in range(0, len(cases), rows)
-        for record in _propagate(N, [c.w for c in cases[s : s + rows]], params[s : s + rows], steps)
+        for record in _propagate([c.w for c in cases[s : s + rows]], params[s : s + rows], steps)
     ]
     return [
         EquivalenceResult(

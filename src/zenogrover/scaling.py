@@ -196,10 +196,6 @@ class QualityReport:
     t_result_nu: float
     t_result_G: float
 
-    @property
-    def success_probability(self) -> float:
-        return self.f_nu * self.P_nu
-
 
 def quality_factor_sweep(
     params_base: SearchParams,
@@ -235,7 +231,7 @@ def quality_factor_sweep(
             f_nu=f_nu,
             P_nu=P_nu,
             f_G=f_G,
-            Q=math.inf if divergent else f_nu * P_nu / f_G,
+            Q=math.inf if divergent else success_nu / f_G,
             divergent=divergent,
             t_result_nu=math.inf if success_nu == 0 else params.readout_time() / success_nu,
             t_result_G=math.inf if divergent else T0 / f_G,

@@ -283,17 +283,14 @@ def _readout(x, W: np.ndarray, g: np.ndarray) -> tuple:
     return amp0 / norm, np.ldexp(norm, 2 * g)
 
 
-def _propagate(
-    runs: Sequence[tuple[SearchParams, StepSource, int]],
-) -> list[tuple[np.ndarray, RunRecord]]:
+def _propagate(runs: Sequence[tuple[SearchParams, StepSource, int]]) -> list[RunRecord]:
     """Multiply out the steps 1, ..., n that ``fill`` writes for each run
-    (params, fill, n), all in one pass of the kernel, and return V(n) and
-    the record of f, P (:func:`_readout`) and d(V(j)) at every step."""
+    (params, fill, n), all in one pass of the kernel, and return the record
+    of f, P (:func:`_readout`) and d(V(j)) at every step."""
     params = [p for p, _, _ in runs]
     series = [np.empty((3, n + 1)) for _, _, n in runs]  # f, P and d of each run
     for p, fpd in zip(params, series):
         fpd[:, 0] = p.x * p.x, 1.0, 0.0
-    ends = [None] * len(runs)
     with np.errstate(invalid="ignore"):
         for W, g, spans in _scan([(fill, n) for _, fill, n in runs], record=True):
             x = np.empty((len(g), 1))  # the overlap of each column's run
@@ -305,12 +302,9 @@ def _propagate(
                 k = min(_CHUNK * (hi - lo), runs[s][2] + 1 - first)
                 for row, col in zip(series[s], (f, P, d)):
                     row[first : first + k] = col[lo:hi].ravel()[:k]
-                if first + k > runs[s][2]:  # step n
-                    last = (lo + (k - 1) // _CHUNK, (k - 1) % _CHUNK)
-                    ends[s] = W[(...,) + last] * np.ldexp(1.0, g[last])
     return [
-        (V, RunRecord.from_series(p, fid, sur, np.isnan(fid), dist))
-        for p, (fid, sur, dist), V in zip(params, series, ends)
+        RunRecord.from_series(p, fid, sur, np.isnan(fid), dist)
+        for p, (fid, sur, dist) in zip(params, series)
     ]
 
 
@@ -319,7 +313,7 @@ def _run_protocols(
 ) -> list[RunRecord]:
     """:func:`run_protocol` of each of ``params``, all in one pass of the kernel."""
     runs = [(p, _step_source(p, engine), p.step_count(n_max)) for p in params]
-    return [record for _, record in _propagate(runs)]
+    return _propagate(runs)
 
 
 def run_protocol(

@@ -46,11 +46,11 @@ TIMEOUT = 60
 
 #: commands beyond the benchmark's: both verify defaults, a deep-damping run
 #: at N = 4, a long exact run, eq. 11 at a tiny rotation from theta0 != 0,
-#: the effective engine from theta0 != 0 and at -+dtheta, seven inputs that
+#: the effective engine from theta0 != 0 and at -+dtheta, nine inputs that
 #: must exit 2 (a plan at |tau| >= pi/2, a step count that overflows, an
 #: effective step beyond its substep limit, a plan given --alpha without
-#: --check, and three step counts beyond 2**52), and a plan whose k2_raw no
-#: double resolves
+#: --check, three step counts beyond 2**52, and a verify N that is not an
+#: integer or beyond 2**20), and a plan whose k2_raw no double resolves
 EXTRA = (
     Command("verify", ("verify",)),
     Command("verify_n4", tuple("verify --n 4 --steps 700".split())),
@@ -77,6 +77,8 @@ EXTRA = (
     Command("sweep_eps_too_many_steps", tuple(
         "sweep-eps --n 1e6 --dt 1e-290 --grid 0:1:2".split()), writes=False),
     Command("run_too_many_steps", tuple("run --n 1e6 --dt 1e-290".split()), writes=False),
+    Command("verify_n_2_5", tuple("verify --n 2.5".split()), writes=False),
+    Command("verify_n_2e6", tuple("verify --n 2000000".split()), writes=False),
     Command("plan_nr_1e60", tuple(
         "plan-scale --n 1e6 --k 1 --tau 0.2 --nr 1e60 --check".split()), writes=False),
 )

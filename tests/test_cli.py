@@ -22,6 +22,9 @@ from zenogrover.cli import RunConfig, build_parser, main, run_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+#: the message of every N that the full-space oracle does not run
+_FULLSPACE_RULE = "the full-space oracle runs an integer N in [2, 1048576]"
+
 
 def read_table(path):
     header = {}
@@ -134,6 +137,8 @@ class TestBadInput:
             ["sweep-dt", "--n", "1e6", "--alpha", "0.3", "--grid", "3:3.2:3",
              "--jobs", "0"],
             ["verify", "--n", "2.5"],
+            ["verify", "--n", "1"],
+            ["verify", "--n", "nan"],
             # 4.7e14 steps: the 3.3 PiB record exceeds any 48-bit address
             # space, so the allocation fails before it touches memory
             ["run", "--n", "1e30", "--k", "1", "--tau", "0.2", "--alpha", "0.3"],
@@ -163,6 +168,7 @@ class TestBadInput:
         ],
         ids=["alpha-nan", "eps-inf", "n-inf", "unwritable-out", "verify-n-inf",
              "plan-nr-inf", "sweep-dt-steps-0", "jobs-0", "verify-n-non-integer",
+             "verify-n-1", "verify-n-nan",
              "record-too-large", "dt-with-k-tau", "dtheta-with-alpha",
              "plan-tau-too-large", "step-count-overflow-dt",
              "step-count-overflow-n", "effective-alpha-huge", "effective-rate-inf",
@@ -177,6 +183,8 @@ class TestBadInput:
         assert main([a.format(blocker=blocker, tmp=tmp_path) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        if argv[0] == "verify":  # every bad N meets the full space's one size rule
+            assert err == f"error: {_FULLSPACE_RULE}, got {float(argv[2])!r}\n"
         if "1e-290" in argv:  # the step count is named
             n = zenogrover.make_params(1e6, 1e-290).n_G
             assert err == f"error: n={n} steps at N=1000000.0, dt=1e-290 exceed 2**52\n"
@@ -565,10 +573,12 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'nope'" in err
 
-    def test_oversized_request_is_config_error(self):
+    def test_oversized_request_is_config_error(self, capsys):
         from zenogrover.fullspace import MAX_FULLSPACE_N
 
-        assert main(["verify", "--n", str(MAX_FULLSPACE_N + 1)]) == 2
+        for n in (MAX_FULLSPACE_N + 1, 2000000):
+            assert main(["verify", "--n", str(n)]) == 2
+            assert capsys.readouterr().err == f"error: {_FULLSPACE_RULE}, got {float(n)!r}\n"
 
     def test_deep_damping_passes(self, capsys):
         # survival falls far below 1e-30 over 700 steps at N = 4

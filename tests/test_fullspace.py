@@ -7,8 +7,8 @@ import scipy.linalg
 from zenogrover import fullspace
 from zenogrover.fullspace import (
     EquivalenceCase,
-    _check_target,
     _evolve,
+    _full_size,
     _propagate,
     _step_kernels,
     default_equivalence_cases,
@@ -30,7 +30,9 @@ def _block(N: int, w: int, coeff_w: float, coeff_s: float) -> np.ndarray:
 def build_full_hamiltonian(N: int, w: int, epsilon: float = 0.0) -> np.ndarray:
     """Joint Hamiltonian -(1+eps) I (x) |w><w| - sigma_z (x) |s><s| as a dense
     2N x 2N real symmetric matrix (ancilla-major ordering, up block first)."""
-    _check_target(N, w)
+    N = _full_size(N)
+    if not 0 <= w < N:
+        raise ValueError(f"target index w={w} out of range for N={N}")
     H = np.zeros((2 * N, 2 * N))
     H[:N, :N] = _block(N, w, -(1.0 + epsilon), -1.0)
     H[N:, N:] = _block(N, w, -(1.0 + epsilon), +1.0)
@@ -103,7 +105,7 @@ class TestSimulate:
     def test_no_rotation_reduces_to_closed_form(self):
         N = 64
         params = make_params(float(N), 1.0, delta_theta=0.0)
-        record = simulate_full_protocol(N, 11, params, n_max=120)
+        record = simulate_full_protocol(11, params, n_max=120)
         for i, t in enumerate(record.times):
             assert abs(
                 record.fidelity[i] - grover_fidelity_closed_form(float(t), float(N))
@@ -113,7 +115,7 @@ class TestSimulate:
     def test_matches_subspace_engine(self):
         N = 16
         params = make_params(float(N), 1.0, delta_theta=0.01)
-        full = simulate_full_protocol(N, 4, params, n_max=200)
+        full = simulate_full_protocol(4, params, n_max=200)
         sub = run_protocol(params, 200)
         assert np.max(np.abs(full.fidelity - sub.fidelity)) < 1e-10
         assert np.max(np.abs(full.survival - sub.survival)) < 1e-10
@@ -121,7 +123,7 @@ class TestSimulate:
     def test_detuned_case_matches_subspace_engine(self):
         N = 16
         params = make_params(float(N), math.pi + 0.2, delta_theta=0.005, epsilon=0.07)
-        full = simulate_full_protocol(N, 9, params, n_max=150)
+        full = simulate_full_protocol(9, params, n_max=150)
         sub = run_protocol(params, 150)
         assert np.max(np.abs(full.fidelity - sub.fidelity)) < 1e-10
         assert np.max(np.abs(full.survival - sub.survival)) < 1e-10
@@ -130,7 +132,7 @@ class TestSimulate:
         # first projection lands on the flipped ancilla state the coupling
         # can never produce: survival collapses to the pi/2 rounding residue
         params = make_params(4.0, 1.0, delta_theta=math.pi / 2)
-        record = simulate_full_protocol(4, 2, params, n_max=1)
+        record = simulate_full_protocol(2, params, n_max=1)
         assert record.survival[1] <= 4e-33
 
     @staticmethod
@@ -145,7 +147,7 @@ class TestSimulate:
             norm = float(np.vdot(state, state).real)
             worst_norm = max(worst_norm, abs(norm - 1.0))
 
-        simulate_full_protocol(N, w, params, n_max=steps, state_callback=watch)
+        simulate_full_protocol(w, params, n_max=steps, state_callback=watch)
         return worst, worst_norm
 
     def test_joint_state_stays_in_search_plane(self):
@@ -170,17 +172,20 @@ class TestSimulate:
                 rest = np.delete(part, w)
                 spreads.append(np.count_nonzero(rest != rest[0]))
 
-        simulate_full_protocol(N, w, params, n_max=300, state_callback=watch)
+        simulate_full_protocol(w, params, n_max=300, state_callback=watch)
         assert len(spreads) == 600 and not any(spreads)
 
     def test_validation(self):
         params = make_params(16.0, 1.0)
+        # the size is params.N, which the full space runs only as an integer
+        # in [2, 2**20]
+        for N in (16.4, fullspace.MAX_FULLSPACE_N + 1):
+            with pytest.raises(ValueError, match=r"runs an integer N in \[2, 1048576\]"):
+                simulate_full_protocol(3, make_params(N, 1.0, delta_theta=0.01))
         with pytest.raises(ValueError):
-            simulate_full_protocol(32, 1, params)  # size mismatch
+            simulate_full_protocol(16, params)  # target out of range
         with pytest.raises(ValueError):
-            simulate_full_protocol(16, 16, params)  # target out of range
-        with pytest.raises(ValueError):
-            simulate_full_protocol(16, 1, params, n_max=0)
+            simulate_full_protocol(1, params, n_max=0)
 
 
 def _block_step(H_b, dt, dense):
@@ -274,7 +279,7 @@ class TestAgainstFourProductLoop:
         w = N // 3
         params = make_params(float(N), dt, delta_theta=dth, theta0=theta0, epsilon=eps)
         ref_f, ref_p, ref_underflow = _reference_protocol(N, w, params, steps, dense)
-        record = simulate_full_protocol(N, w, params, n_max=steps)
+        record = simulate_full_protocol(w, params, n_max=steps)
         assert np.max(np.abs(record.fidelity - ref_f)) <= 1e-11
         assert np.max(np.abs(record.survival - ref_p)) <= 1e-11
         assert record.underflow == ref_underflow
@@ -304,7 +309,7 @@ class TestStep:
         N = 100_000
         params = make_params(float(N), k=1, tau=0.2, alpha=0.3)
         assert params.n_G == 148
-        full = simulate_full_protocol(N, 12_345, params)
+        full = simulate_full_protocol(12_345, params)
         exact = run_protocol(params)
         assert np.max(np.abs(full.fidelity - exact.fidelity)) <= 1e-12
         assert np.max(np.abs(full.survival / exact.survival - 1.0)) <= 1e-11
@@ -314,7 +319,7 @@ class TestStep:
 def test_ladder_a_through_the_full_space():
     # the published ladder_a readout, without the 2x2 reduction: N = 1e6, 470 steps
     params = make_params(1e6, k=1, tau=0.2, alpha=0.3)
-    full = simulate_full_protocol(1_000_000, 271_828, params)
+    full = simulate_full_protocol(271_828, params)
     exact = run_protocol(params)
     assert abs(full.final_fidelity - 0.98) <= 0.01
     assert abs(full.final_survival - 0.27) <= 0.02
@@ -328,9 +333,9 @@ class TestBatch:
         cases = default_equivalence_cases(sizes=(N,), steps=120)[:9]
         assert len({(c.N, c.w, c.epsilon) for c in cases}) == 1
         params = [make_case_params(c) for c in cases]
-        records = _propagate(N, cases[0].w, params, 120)
+        records = _propagate(cases[0].w, params, 120)
         for record, p in zip(records, params):
-            alone = simulate_full_protocol(N, cases[0].w, p, n_max=120)
+            alone = simulate_full_protocol(cases[0].w, p, n_max=120)
             assert np.array_equal(record.fidelity, alone.fidelity)
             assert np.array_equal(record.survival, alone.survival)
 
@@ -342,9 +347,9 @@ class TestBatch:
             for dt in (1.0, math.pi + 0.2)
             for theta0, dth in ((0.0, 0.0), (0.3, 0.0), (0.0, 0.01), (0.3, 0.01))
         ]
-        records = _propagate(N, 5, params, 120)
+        records = _propagate(5, params, 120)
         for record, p in zip(records, params):
-            alone = simulate_full_protocol(N, 5, p, n_max=120)
+            alone = simulate_full_protocol(5, p, n_max=120)
             assert np.array_equal(record.fidelity, alone.fidelity)
             assert np.array_equal(record.survival, alone.survival)
 
@@ -354,9 +359,9 @@ class TestBatch:
         cases = default_equivalence_cases(sizes=(N,), steps=120)
         assert len({c.w for c in cases}) == 3
         params = [make_case_params(c) for c in cases]
-        records = _propagate(N, [c.w for c in cases], params, 120)
+        records = _propagate([c.w for c in cases], params, 120)
         for record, case, p in zip(records, cases, params):
-            alone = simulate_full_protocol(N, case.w, p, n_max=120)
+            alone = simulate_full_protocol(case.w, p, n_max=120)
             assert np.array_equal(record.fidelity, alone.fidelity)
             assert np.array_equal(record.survival, alone.survival)
 

@@ -164,12 +164,24 @@ def _entries(fill, n):
 def _product(p, n, engine="exact"):
     """(V(n), record) of ``engine`` through the kernel: V(n) is what no
     public call returns."""
-    return _propagate_one(p, stroboscopic._step_source(p, engine), n)
+    (V,) = _final_products([(stroboscopic._step_source(p, engine), n)])
+    return V, _propagate_one(p, stroboscopic._step_source(p, engine), n)
 
 
 def _propagate_one(p, fill, n):
-    """(V(n), record) of the one run (p, fill, n) through the kernel."""
+    """The record of the one run (p, fill, n) through the kernel."""
     return stroboscopic._propagate([(p, fill, n)])[0]
+
+
+def _final_products(runs):
+    """V(n) of each run (fill, n) of ``runs``, from the record-free pass of
+    the kernel that ``final_readout`` reads: for the i-th span of a batch,
+    the last row of the run's last chunk, identities past step n."""
+    out = [None] * len(runs)
+    for W, g, spans in stroboscopic._scan(runs, record=False):
+        for i, (s, *_) in enumerate(spans):
+            out[s] = W[..., i, -1] * np.ldexp(1.0, g[i, -1])
+    return out
 
 
 def _steps_case(N, n=None, engine="exact", **kwargs):
@@ -226,7 +238,8 @@ class TestKernelMatchesSequentialLoop:
             steps = 3 * 64 if case == "sweep_dt_pi" else 40
             monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", steps)
         p, n, source = _KERNEL_CASES[case]()
-        V, got = _propagate_one(p, source(), n)
+        got = _propagate_one(p, source(), n)
+        (V,) = _final_products([(source(), n)])
         V_ref, ref = _sequential_propagate(p, _entries(source(), n).tolist(), n)
         assert np.max(np.abs(got.fidelity - ref.fidelity)) <= 1e-12
         live = ref.survival > 0
@@ -275,9 +288,10 @@ class TestBatchedKernel:
         monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", block)
         cases = _batch_cases(engine)
         batch = stroboscopic._propagate([(p, source(), n) for p, n, source in cases])
-        for (p, n, source), (V, record) in zip(cases, batch):
-            V1, alone = _propagate_one(p, source(), n)
-            assert np.array_equal(V, V1)
+        ends = _final_products([(source(), n) for _, n, source in cases])
+        for (p, n, source), record, V in zip(cases, batch, ends):
+            alone = _propagate_one(p, source(), n)
+            assert np.array_equal(V, _final_products([(source(), n)])[0])
             for name in ("fidelity", "survival", "distance"):
                 assert np.array_equal(getattr(record, name), getattr(alone, name))
             assert record.underflow == alone.underflow
