@@ -403,8 +403,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be lo:hi:count")
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise argparse.ArgumentTypeError("grid bounds must be finite")
+    if not math.isfinite(hi - lo):  # nan or inf in a bound, or a span that overflows
+        raise argparse.ArgumentTypeError("grid bounds and their span must be finite")
     if count < 1:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
     return lo, hi, count

@@ -44,60 +44,47 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EffectiveHamiltonian:
-    """Generator split H = A - iB with A, B Hermitian.
+    """A generator H, with its split H = A - iB into Hermitian A and B."""
 
-    ``schur_fallback`` marks extractions that hit a (near-)defective operator
-    and took the closed-form defective logarithm instead of the
-    eigendecomposition route.
-    """
-
-    hermitian_part: np.ndarray
-    antihermitian_part: np.ndarray
-    schur_fallback: bool = False
+    matrix: np.ndarray
 
     @property
-    def matrix(self) -> np.ndarray:
-        return self.hermitian_part - 1j * self.antihermitian_part
+    def hermitian_part(self) -> np.ndarray:
+        return 0.5 * (self.matrix + self.matrix.conj().T)
 
-
-def _split(H: np.ndarray, fallback: bool) -> EffectiveHamiltonian:
-    A = 0.5 * (H + H.conj().T)
-    B = 0.5j * (H - H.conj().T)
-    return EffectiveHamiltonian(
-        hermitian_part=A, antihermitian_part=B, schur_fallback=fallback
-    )
+    @property
+    def antihermitian_part(self) -> np.ndarray:
+        return 0.5j * (self.matrix - self.matrix.conj().T)
 
 
 def extract_step_hamiltonian(V: np.ndarray, delta_t: float) -> EffectiveHamiltonian:
     """Invert V = exp(-i H dt) on the principal branch: H = (i/dt) log V.
 
-    The logarithm is taken through the eigendecomposition of the (generally
-    non-normal) 2x2 operator.  A singular operator is rejected.  A defective
-    one within tolerance is flagged and takes the closed form
-    log V = log(mu) I + (V - mu I)/mu with mu = tr(V)/2, exact when
-    (V - mu I)^2 = 0 (Higham, Functions of Matrices, 2008, ch. 11); at an
-    eigenvalue split delta the error is O((delta/mu)^2).  Note the extracted
-    generator is only defined modulo 2*pi/dt in its eigenphases; compare
-    dynamics, not raw entries, across branches.
+    With V = mu I + T, mu = tr(V)/2 and T^2 = d^2 I, the eigenvalues are
+    mu +- d and log V = (log(mu+d) + log(mu-d))/2 I + b T, b the divided
+    difference of log (Higham, Functions of Matrices, 2008, ch. 11):
+    (atanh(d/mu) + i pi u)/d for |d| < |mu|, u the integer that puts both
+    logs on the principal branch, (log(mu+d) - log(mu-d))/(2d) otherwise,
+    and 1/mu at d = 0.  Each form is exact where it is used, defective steps
+    included.  A singular V is rejected.  H is defined only modulo 2 pi/dt
+    in its eigenphases; compare dynamics, not raw entries, across branches.
     """
     V = np.asarray(V, dtype=complex)
-
-    sv = np.linalg.svd(V, compute_uv=False)
-    if sv[-1] <= 1e-14:
+    if np.linalg.svd(V, compute_uv=False)[-1] <= 1e-14:
         raise ValueError("step operator not invertible")
-
-    lam, Wv = np.linalg.eig(V)
-    scale = max(abs(lam[0]), abs(lam[1]))
-    # defective within tolerance: eigenvalues collide but V is not scalar
-    if abs(lam[0] - lam[1]) <= 1e-9 * scale and not np.allclose(
-        V, lam[0] * np.eye(2), atol=1e-12 * scale
-    ):
-        mu = 0.5 * (V[0, 0] + V[1, 1])
-        logV = cmath.log(mu) * np.eye(2) + (V - mu * np.eye(2)) / mu
-        return _split((1j / delta_t) * logV, True)
-
-    logV = (Wv * np.log(lam)) @ np.linalg.inv(Wv)
-    return _split((1j / delta_t) * logV, False)
+    mu, t = 0.5 * complex(V[0, 0] + V[1, 1]), 0.5 * complex(V[0, 0] - V[1, 1])
+    d = cmath.sqrt(t * t + complex(V[0, 1] * V[1, 0]))
+    lp, lm = cmath.log(mu + d), cmath.log(mu - d)
+    if d == 0:
+        b = 1.0 / mu
+    elif abs(d) < abs(mu):
+        z = cmath.atanh(d / mu)
+        b = (z + 1j * math.pi * round((lp - lm - 2.0 * z).imag / (2.0 * math.pi))) / d
+    else:
+        b = (lp - lm) / (2.0 * d)
+    c = 0.5 * (lp + lm)
+    logV = np.array([[c + b * t, b * V[0, 1]], [b * V[1, 0], c - b * t]])
+    return EffectiveHamiltonian((1j / delta_t) * logV)
 
 
 def _generator(params: SearchParams, t: Union[float, np.ndarray]) -> tuple:
@@ -121,9 +108,7 @@ def continuous_heff(t: float, params: SearchParams) -> EffectiveHamiltonian:
     For tau = 0 the generator is Hermitian.
     """
     h01, h11 = _generator(params, t)
-    A = np.array([[-params.epsilon, h01], [h01, h11.real]], dtype=complex)
-    B = np.array([[0.0, 0.0], [0.0, -h11.imag]], dtype=complex)
-    return EffectiveHamiltonian(hermitian_part=A, antihermitian_part=B)
+    return EffectiveHamiltonian(np.array([[-params.epsilon, h01], [h01, h11]], dtype=complex))
 
 
 #: substeps per block of step propagators that the effective engine builds

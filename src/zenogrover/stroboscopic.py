@@ -283,6 +283,13 @@ def _readout(x, W: np.ndarray, g: np.ndarray) -> tuple:
     return amp0 / norm, np.ldexp(norm, 2 * g)
 
 
+def _not_finite(p: SearchParams) -> ValueError:
+    """The error of a run whose P is not finite: no finite step has a norm
+    above 1 and an annihilated one reads P = 0, so one of its steps is not."""
+    return ValueError(f"a step overflows to a non-finite operator at N={p.N!r}, "
+                      f"dt={p.delta_t!r}, dtheta={p.delta_theta!r}, eps={p.epsilon!r}")
+
+
 def _propagate(runs: Sequence[tuple[SearchParams, StepSource, int]]) -> list[RunRecord]:
     """Multiply out the steps 1, ..., n that ``fill`` writes for each run
     (params, fill, n), all in one pass of the kernel, and return the record
@@ -291,12 +298,15 @@ def _propagate(runs: Sequence[tuple[SearchParams, StepSource, int]]) -> list[Run
     series = [np.empty((3, n + 1)) for _, _, n in runs]  # f, P and d of each run
     for p, fpd in zip(params, series):
         fpd[:, 0] = p.x * p.x, 1.0, 0.0
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for W, g, spans in _scan([(fill, n) for _, fill, n in runs], record=True):
             x = np.empty((len(g), 1))  # the overlap of each column's run
             for s, lo, hi, _ in spans:
                 x[lo:hi] = params[s].x
             f, P = _readout(x, W, g)
+            if not np.isfinite(P).all():
+                col = np.argmin(np.isfinite(P).all(axis=1))
+                raise _not_finite(next(params[s] for s, lo, hi, _ in spans if lo <= col < hi))
             d = _distance(W, g)
             for s, lo, hi, first in spans:
                 k = min(_CHUNK * (hi - lo), runs[s][2] + 1 - first)
@@ -339,11 +349,13 @@ def _final_readouts(
                 for r in out]
     runs = [(_step_source(p, "exact"), p.step_count(n)) for p in params]
     out = [None] * len(params)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for W, g, spans in _scan(runs, record=False):
             # the last row of a run's last chunk, identities past step n, is V(n)
             W, g = W[..., -1], g[:, -1]
             f, P = _readout(np.array([params[s].x for s, *_ in spans]), W, g)
+            if not np.isfinite(P).all():
+                raise _not_finite(params[spans[np.argmin(np.isfinite(P))][0]])
             d = _distance(W, g)
             for i, (s, *_) in enumerate(spans):
                 out[s] = float(f[i]), 0.0 if P[i] < SURVIVAL_FLOOR else float(P[i]), float(d[i])

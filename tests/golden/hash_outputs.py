@@ -46,11 +46,12 @@ TIMEOUT = 60
 
 #: commands beyond the benchmark's: both verify defaults, a deep-damping run
 #: at N = 4, a long exact run, eq. 11 at a tiny rotation from theta0 != 0,
-#: the effective engine from theta0 != 0 and at -+dtheta, nine inputs that
+#: the effective engine from theta0 != 0 and at -+dtheta, twelve inputs that
 #: must exit 2 (a plan at |tau| >= pi/2, a step count that overflows, an
 #: effective step beyond its substep limit, a plan given --alpha without
-#: --check, three step counts beyond 2**52, and a verify N that is not an
-#: integer or beyond 2**20), and a plan whose k2_raw no double resolves
+#: --check, three step counts beyond 2**52, a verify N that is not an
+#: integer or beyond 2**20, and three whose steps overflow to operators that
+#: are not finite), and a plan whose k2_raw no double resolves
 EXTRA = (
     Command("verify", ("verify",)),
     Command("verify_n4", tuple("verify --n 4 --steps 700".split())),
@@ -81,6 +82,12 @@ EXTRA = (
     Command("verify_n_2e6", tuple("verify --n 2000000".split()), writes=False),
     Command("plan_nr_1e60", tuple(
         "plan-scale --n 1e6 --k 1 --tau 0.2 --nr 1e60 --check".split()), writes=False),
+    Command("run_phase_overflow", tuple("run --n 1e6 --dt 1 --alpha 1e308".split()),
+            writes=False),
+    Command("sweep_dt_phase_overflow", tuple(
+        "sweep-dt --n 1e6 --alpha 1e308 --grid 1:2:3".split()), writes=False),
+    Command("run_effective_eps_overflow", tuple(
+        "run --engine effective --n 1e6 --dt 1 --eps 1e200 --steps 5".split()), writes=False),
 )
 
 

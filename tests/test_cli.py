@@ -165,6 +165,14 @@ class TestBadInput:
             ["run", "--n", "1e6", "--dt", "1e-290"],
             ["sweep-dt", "--n", "1e6", "--alpha", "0.3", "--grid", "1e-290:2e-290:2"],
             ["sweep-eps", "--n", "1e6", "--dt", "1e-290", "--grid", "0:1:2"],
+            # finite input whose steps overflow: the phase (2j - 1) dtheta from
+            # step 900 on, and t00^2 of the effective generator; such a step
+            # is not finite, where an annihilated one reads P = 0
+            ["run", "--n", "1e6", "--dt", "1", "--alpha", "1e308"],
+            ["sweep-dt", "--n", "1e6", "--alpha", "1e308", "--grid", "1:2:3"],
+            ["run", "--engine", "effective", "--n", "1e6", "--dt", "1", "--eps", "1e200",
+             "--steps", "5"],
+            ["eff-compare", "--n", "1e6", "--dt", "1", "--eps", "1e200", "--steps", "5"],
         ],
         ids=["alpha-nan", "eps-inf", "n-inf", "unwritable-out", "verify-n-inf",
              "plan-nr-inf", "sweep-dt-steps-0", "jobs-0", "verify-n-non-integer",
@@ -173,16 +181,22 @@ class TestBadInput:
              "plan-tau-too-large", "step-count-overflow-dt",
              "step-count-overflow-n", "effective-alpha-huge", "effective-rate-inf",
              "effective-dtheta-1e5", "plan-alpha-without-check", "too-many-steps-run",
-             "too-many-steps-sweep-dt", "too-many-steps-sweep-eps"],
+             "too-many-steps-sweep-dt", "too-many-steps-sweep-eps", "step-phase-overflow-run",
+             "step-phase-overflow-sweep-dt", "effective-step-overflow",
+             "effective-step-overflow-eff-compare"],
     )
     def test_exits_2_with_message(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setenv("ZENOGROVER_OUTDIR", str(tmp_path))
         # a regular file where the output directory should be
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        assert main([a.format(blocker=blocker, tmp=tmp_path) for a in argv]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([a.format(blocker=blocker, tmp=tmp_path) for a in argv]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not caught
+        assert [f.name for f in tmp_path.iterdir()] == ["blocker"]
         if argv[0] == "verify":  # every bad N meets the full space's one size rule
             assert err == f"error: {_FULLSPACE_RULE}, got {float(argv[2])!r}\n"
         if "1e-290" in argv:  # the step count is named
@@ -335,12 +349,16 @@ class TestFlagTable:
             (["sweep-dt", "--n", "1e6", "--alpha", "0.3", "--grid", "1:nan:3"], "--grid"),
             (["sweep-eps", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
               "--grid=-inf:1:3"], "--grid"),
+            # finite bounds whose span hi - lo overflows
+            (["sweep-eps", "--n", "1e6", "--k", "1", "--tau", "0.2",
+              "--grid=-1e308:1e308:3"], "--grid"),
             (["verify", "--n", "8", "--inject-fault", "nope"], "--inject-fault"),
             # the small-overlap engine is gone: only exact and effective run
             (["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
               "--engine", "approx"], "--engine: invalid choice"),
         ],
-        ids=["sweep-dt-grid-nan", "sweep-eps-grid-inf", "verify-unknown-fault",
+        ids=["sweep-dt-grid-nan", "sweep-eps-grid-inf", "sweep-eps-grid-span-inf",
+             "verify-unknown-fault",
              "run-engine-approx"],
     )
     def test_bad_flag_value_exits_2(self, tmp_path, monkeypatch, capsys, argv, flag):

@@ -23,7 +23,6 @@ class TestExtract:
     def test_identity_maps_to_zero(self):
         h = extract_step_hamiltonian(np.eye(2, dtype=complex), 1.3)
         assert np.max(np.abs(h.matrix)) < 1e-14
-        assert not h.schur_fallback
 
     def test_recovers_generator_on_principal_branch(self):
         p = make_params(16.0, 1.2)
@@ -64,19 +63,37 @@ class TestExtract:
         with pytest.raises(ValueError, match="not invertible"):
             extract_step_hamiltonian(np.zeros((2, 2), dtype=complex), 1.0)
 
-    def test_defective_operator_takes_schur_fallback(self):
-        # exactly defective, then eigenvalues split by ~1e-10 of their scale
-        for split in (0.0, 1e-10):
+    def test_roundtrip_across_eigenvalue_splits(self):
+        # exactly defective at split 0; a switch between two algorithms at a
+        # split tolerance would lose accuracy just past it (1.5e-9 at 1e-9)
+        for split in (0.0, 1e-16, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3):
             V = np.array([[0.9 + split, 0.2], [0.0, 0.9]], dtype=complex)
             h = extract_step_hamiltonian(V, 1.0)
-            assert h.schur_fallback
             back = scipy.linalg.expm(-1j * h.matrix * 1.0)
-            np.testing.assert_allclose(back, V, atol=1e-10)
+            assert np.max(np.abs(back - V)) <= 1e-15, split
 
-    def test_scalar_operator_is_not_defective(self):
-        V = (0.5 + 0.1j) * np.eye(2)
-        h = extract_step_hamiltonian(V, 1.0)
-        assert not h.schur_fallback
+    def test_scalar_operator_maps_to_scalar_log(self):
+        c = 0.5 + 0.1j
+        h = extract_step_hamiltonian(c * np.eye(2), 2.0)
+        np.testing.assert_allclose(h.matrix, 0.5j * np.log(c) * np.eye(2), rtol=1e-15, atol=0)
+
+    def test_matches_high_precision_logm_at_large_n(self):
+        # the coupling entries are ~x/dt; at N = 1e18 they sit 1e-9 below
+        # the diagonal, where an eigendecomposition loses 8 digits of them
+        import mpmath
+
+        for N in (1e12, 1e18):
+            p = make_params(N, k=1, tau=0.2, alpha=0.3)
+            for j in (1, p.n_G // 2):
+                V = step_operator(j, p)
+                h = extract_step_hamiltonian(V, p.delta_t)
+                with mpmath.workdps(50):
+                    L = mpmath.logm(mpmath.matrix([[complex(v) for v in row] for row in V]))
+                    ref = np.array(
+                        [[complex(1j * L[a, b] / p.delta_t) for b in (0, 1)] for a in (0, 1)]
+                    )
+                rel = np.abs(h.matrix - ref) / np.abs(ref)
+                assert np.max(rel) <= 1e-13, (N, j, rel)
 
 
 class TestContinuousGenerator:

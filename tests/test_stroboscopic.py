@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -193,15 +194,16 @@ def _steps_case(N, n=None, engine="exact", **kwargs):
     return build
 
 
-def _zero_step_case(engine="exact"):
-    # step 70 (in the second chunk) annihilates the state exactly
+def _zero_step_case(engine="exact", value=0.0):
+    # step 70 (in the second chunk) annihilates the state exactly, or, with
+    # value nan, is not finite
     p = make_params(1e4, 1.0, alpha=0.3)
     n = 200
     source = stroboscopic._step_source(p, engine)
 
     def fill(j, out):
         source(j, out)
-        out[:, :, j == 70] = 0.0
+        out[:, :, j == 70] = value
 
     return p, n, lambda: fill
 
@@ -256,6 +258,23 @@ class TestKernelMatchesSequentialLoop:
             assert np.all(got.fidelity[70:] == got.fidelity[69])
             assert np.all(got.distance[70:] == 1.0)
 
+    @pytest.mark.parametrize("value", [0.0, np.nan])
+    def test_only_a_step_that_is_not_finite_raises(self, value, monkeypatch):
+        # an annihilated step reads P = 0, a step that is not finite P = nan:
+        # the record and the readout pass raise on it, with no RuntimeWarning
+        monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", 64)
+        p, n, source = _zero_step_case(value=value)
+        monkeypatch.setattr(stroboscopic, "_step_source", lambda params, engine: source())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if value == 0.0:
+                assert _propagate_one(p, source(), n).underflow
+                assert stroboscopic._final_readouts([p, p], n)[1][1] == 0.0
+                return
+            with pytest.raises(ValueError, match="non-finite operator at N=10000.0"):
+                _propagate_one(p, source(), n)
+            with pytest.raises(ValueError, match="non-finite operator at N=10000.0"):
+                stroboscopic._final_readouts([p, p], n)
 
     def test_carry_in_place_is_the_broadcast_product(self):
         # the same products and sums as the broadcast, so the same bits
