@@ -66,10 +66,13 @@ def extract_step_hamiltonian(V: np.ndarray, delta_t: float) -> EffectiveHamilton
     (atanh(d/mu) + i pi u)/d for |d| < |mu|, u the integer that puts both
     logs on the principal branch, (log(mu+d) - log(mu-d))/(2d) otherwise,
     and 1/mu at d = 0.  Each form is exact where it is used, defective steps
-    included.  A singular V is rejected.  H is defined only modulo 2 pi/dt
-    in its eigenphases; compare dynamics, not raw entries, across branches.
+    included.  A V that is not finite or is singular is rejected.  H is
+    defined only modulo 2 pi/dt in its eigenphases; compare dynamics, not raw
+    entries, across branches.
     """
     V = np.asarray(V, dtype=complex)
+    if not np.isfinite(V).all():
+        raise ValueError("step operator not finite")
     if np.linalg.svd(V, compute_uv=False)[-1] <= 1e-14:
         raise ValueError("step operator not invertible")
     mu, t = 0.5 * complex(V[0, 0] + V[1, 1]), 0.5 * complex(V[0, 0] - V[1, 1])

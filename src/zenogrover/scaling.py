@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import SearchParams, make_params, overlap_x
-from .stroboscopic import _final_readouts, run_protocol
+from .stroboscopic import _final_readouts, _run_protocols
 
 __all__ = [
     "ScalePlan",
@@ -131,14 +131,14 @@ class ScaledCheckReport:
 
 
 def scaled_process_check(plan: ScalePlan, alpha: float) -> ScaledCheckReport:
-    """Run the reference and the planned process and compare them step by
-    step (step n of one against step n of the other: matching step indices
-    realize the time scaling t2 = t1 sqrt(N2/N1)) up to the earlier readout."""
+    """Run the reference and the planned process, in one pass of the kernel,
+    and compare them step by step (step n of one against step n of the
+    other: matching step indices realize the time scaling t2 = t1
+    sqrt(N2/N1)) up to the earlier readout."""
     p1 = make_params(plan.N1, k=plan.k1, tau=plan.tau, alpha=alpha)
     p2 = make_params(float(plan.N2), k=plan.k2, tau=plan.tau, alpha=alpha)
     n = min(p1.step_count(), p2.step_count())
-    r1 = run_protocol(p1, n)
-    r2 = run_protocol(p2, n)
+    r1, r2 = _run_protocols([p1, p2], n, "exact")
     return ScaledCheckReport(
         max_fidelity_deviation=float(np.max(np.abs(r1.fidelity - r2.fidelity))),
         max_survival_deviation=float(np.max(np.abs(r1.survival - r2.survival))),

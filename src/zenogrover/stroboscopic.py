@@ -29,7 +29,8 @@ The engine is a value: :func:`run_protocol` runs and records, and
 without a record, for the sweeps.  A run takes at most 2**52 steps, as phi_j
 takes 2j - 1 to a double.  One numpy kernel, :func:`_scan`, multiplies out
 the steps of every 2x2 engine, the effective one included, for many runs at
-once: ``verify`` hands it the subspace side of a group of cases, each sweep
+once, and one reader, :func:`_read`, reads records and final readouts from
+it: ``verify`` hands it the subspace side of a group of cases, each sweep
 its grid, and a single run is a batch of one.  An engine enters through its
 step source, ``fill(j, out)``, which writes V_j for every index of an integer
 array j of steps 1, ..., n into ``out`` of shape (2, 2, *j.shape);
@@ -283,39 +284,47 @@ def _readout(x, W: np.ndarray, g: np.ndarray) -> tuple:
     return amp0 / norm, np.ldexp(norm, 2 * g)
 
 
-def _not_finite(p: SearchParams) -> ValueError:
-    """The error of a run whose P is not finite: no finite step has a norm
-    above 1 and an annihilated one reads P = 0, so one of its steps is not."""
-    return ValueError(f"a step overflows to a non-finite operator at N={p.N!r}, "
-                      f"dt={p.delta_t!r}, dtheta={p.delta_theta!r}, eps={p.epsilon!r}")
-
-
-def _propagate(runs: Sequence[tuple[SearchParams, StepSource, int]]) -> list[RunRecord]:
-    """Multiply out the steps 1, ..., n that ``fill`` writes for each run
-    (params, fill, n), all in one pass of the kernel, and return the record
-    of f, P (:func:`_readout`) and d(V(j)) at every step."""
+def _read(runs: Sequence[tuple[SearchParams, StepSource, int]], record: bool) -> list:
+    """The one reader of :func:`_scan`: for each run (params, fill, n), all in
+    one pass, the series (3, n + 1) of f, P (:func:`_readout`) and d
+    (:func:`_distance`) at steps 0, ..., n with ``record``, else (f, P, d) at
+    step n, read by the same lines from the last row of the run's last chunk
+    (identities pad it past step n), so the two agree bit for bit.  No
+    finite step has a norm above 1 and an annihilated one reads P = 0, so a
+    P that is not finite comes from a step that is not: its run raises."""
     params = [p for p, _, _ in runs]
-    series = [np.empty((3, n + 1)) for _, _, n in runs]  # f, P and d of each run
-    for p, fpd in zip(params, series):
+    out = [np.empty((3, n + 1)) if record else None for _, _, n in runs]
+    for p, fpd in zip(params, out if record else ()):  # step 0, the initial state
         fpd[:, 0] = p.x * p.x, 1.0, 0.0
     with np.errstate(invalid="ignore", over="ignore"):
-        for W, g, spans in _scan([(fill, n) for _, fill, n in runs], record=True):
+        for W, g, spans in _scan([(fill, n) for _, fill, n in runs], record):
+            if not record:  # step n alone, not the 63 rows before it
+                W, g = W[..., -1:], g[:, -1:]
             x = np.empty((len(g), 1))  # the overlap of each column's run
             for s, lo, hi, _ in spans:
                 x[lo:hi] = params[s].x
             f, P = _readout(x, W, g)
             if not np.isfinite(P).all():
                 col = np.argmin(np.isfinite(P).all(axis=1))
-                raise _not_finite(next(params[s] for s, lo, hi, _ in spans if lo <= col < hi))
+                p = next(params[s] for s, lo, hi, _ in spans if lo <= col < hi)
+                raise ValueError(f"a step overflows to a non-finite operator at N={p.N!r}, "
+                                 f"dt={p.delta_t!r}, dtheta={p.delta_theta!r}, eps={p.epsilon!r}")
             d = _distance(W, g)
             for s, lo, hi, first in spans:
+                if not record:
+                    out[s] = f[lo, -1], P[lo, -1], d[lo, -1]
+                    continue
                 k = min(_CHUNK * (hi - lo), runs[s][2] + 1 - first)
-                for row, col in zip(series[s], (f, P, d)):
+                for row, col in zip(out[s], (f, P, d)):
                     row[first : first + k] = col[lo:hi].ravel()[:k]
-    return [
-        RunRecord.from_series(p, fid, sur, np.isnan(fid), dist)
-        for p, (fid, sur, dist) in zip(params, series)
-    ]
+    return out
+
+
+def _propagate(runs: Sequence[tuple[SearchParams, StepSource, int]]) -> list[RunRecord]:
+    """The record of each run (params, fill, n), all in one pass of the
+    kernel: f, P and d(V(j)) at every step, as :func:`_read` reads them."""
+    return [RunRecord.from_series(p, fid, sur, np.isnan(fid), dist)
+            for (p, _, _), (fid, sur, dist) in zip(runs, _read(runs, record=True))]
 
 
 def _run_protocols(
@@ -338,33 +347,23 @@ def run_protocol(
 def _final_readouts(
     params: Sequence[SearchParams], n: Optional[int] = None, jobs: int = 1
 ) -> list[tuple[float, float, float]]:
-    """:func:`final_readout` of each of ``params``, all in one pass of the
-    kernel.  With ``jobs > 1``, contiguous slices of them are fanned out to
-    worker processes, a pass each; a run's products do not depend on its
-    neighbours, so the result does not depend on ``jobs``."""
+    """:func:`final_readout` of each of ``params``, all in one record-free
+    pass of :func:`_read`.  With ``jobs > 1``, contiguous slices of them are
+    fanned out to worker processes, a pass each; a run's products do not
+    depend on its neighbours, so the result does not depend on ``jobs``."""
     size = max(1, -(-len(params) // max(1, jobs)))  # runs per slice
     if size < len(params):
         slices = [params[s : s + size] for s in range(0, len(params), size)]
         return [r for out in parallel_map(partial(_final_readouts, n=n), slices, jobs)
                 for r in out]
-    runs = [(_step_source(p, "exact"), p.step_count(n)) for p in params]
-    out = [None] * len(params)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for W, g, spans in _scan(runs, record=False):
-            # the last row of a run's last chunk, identities past step n, is V(n)
-            W, g = W[..., -1], g[:, -1]
-            f, P = _readout(np.array([params[s].x for s, *_ in spans]), W, g)
-            if not np.isfinite(P).all():
-                raise _not_finite(params[spans[np.argmin(np.isfinite(P))][0]])
-            d = _distance(W, g)
-            for i, (s, *_) in enumerate(spans):
-                out[s] = float(f[i]), 0.0 if P[i] < SURVIVAL_FLOOR else float(P[i]), float(d[i])
-    return out
+    runs = [(p, _step_source(p, "exact"), p.step_count(n)) for p in params]
+    return [(float(f), 0.0 if P < SURVIVAL_FLOOR else float(P), float(d))
+            for f, P, d in _read(runs, record=False)]
 
 
 def final_readout(params: SearchParams, n: Optional[int] = None) -> tuple[float, float, float]:
     """(f, P, d) of the exact engine after n steps, by default n_G, without a
-    record: the products and formulas of :func:`run_protocol`, so it equals
+    record: the reader of :func:`run_protocol` on step n alone, so it equals
     the record's last row bit for bit.  The exact engine's P never rises, so
     P below the survival floor reads 0, as it does there; f reads nan where
     V(n)|s> = 0 exactly, where the record holds its last direction."""

@@ -44,18 +44,22 @@ from workloads import Command  # noqa: E402
 #: seconds a command may run before it is stopped
 TIMEOUT = 60
 
-#: commands beyond the benchmark's: both verify defaults, a deep-damping run
-#: at N = 4, a long exact run, eq. 11 at a tiny rotation from theta0 != 0,
-#: the effective engine from theta0 != 0 and at -+dtheta, twelve inputs that
-#: must exit 2 (a plan at |tau| >= pi/2, a step count that overflows, an
-#: effective step beyond its substep limit, a plan given --alpha without
-#: --check, three step counts beyond 2**52, a verify N that is not an
-#: integer or beyond 2**20, and three whose steps overflow to operators that
-#: are not finite), and a plan whose k2_raw no double resolves
+#: the 22 commands beyond the benchmark's: both verify defaults, a
+#: deep-damping run at N = 4, a run at N = 2 whose quarter-turn steps
+#: (dtheta = pi/2) each shrink P by cos(dtheta)^2 ~ 4e-33, a long exact run,
+#: eq. 11 at a tiny rotation from theta0 != 0, the effective engine from
+#: theta0 != 0 and at -+dtheta, twelve inputs that must exit 2 (a plan at
+#: |tau| >= pi/2, a step count that overflows, an effective step beyond its
+#: substep limit, a plan given --alpha without --check, three step counts
+#: beyond 2**52, a verify N that is not an integer or beyond 2**20, and three
+#: whose steps overflow to operators that are not finite), and a plan whose
+#: k2_raw no double resolves
 EXTRA = (
     Command("verify", ("verify",)),
     Command("verify_n4", tuple("verify --n 4 --steps 700".split())),
     Command("run_n4", tuple("run --n 4 --dt 3.141592653589793 --dtheta 0.01 --steps 3000".split())),
+    Command("run_n2_quarter_turn", tuple(
+        "run --n 2 --dt 1 --dtheta 1.5707963267948966 --steps 3".split())),
     Command("run_1e12", tuple("run --n 1e12 --k 1 --tau 0.2 --alpha 0.3".split())),
     Command("eff_compare_theta0", tuple(
         "eff-compare --n 1e6 --dt 1 --dtheta 2e-12 --theta0 0.3 --steps 1500".split())),

@@ -62,6 +62,12 @@ class TestExtract:
     def test_singular_operator_rejected(self):
         with pytest.raises(ValueError, match="not invertible"):
             extract_step_hamiltonian(np.zeros((2, 2), dtype=complex), 1.0)
+        # a nan entry would stop the SVD, an inf one give an all-nan generator
+        for bad in (np.nan, np.inf):
+            V = np.eye(2, dtype=complex)
+            V[0, 1] = bad
+            with pytest.raises(ValueError, match="not finite"):
+                extract_step_hamiltonian(V, 1.0)
 
     def test_roundtrip_across_eigenvalue_splits(self):
         # exactly defective at split 0; a switch between two algorithms at a

@@ -276,6 +276,26 @@ class TestKernelMatchesSequentialLoop:
             with pytest.raises(ValueError, match="non-finite operator at N=10000.0"):
                 stroboscopic._final_readouts([p, p], n)
 
+    @pytest.mark.parametrize("block", [stroboscopic._BLOCK_STEPS, 64, 3 * 64])
+    def test_the_error_names_the_run_that_is_not_finite(self, block, monkeypatch):
+        # a good run at N = 1e6, then the nan-step run at N = 1e4, 4 chunks
+        # each: with 3 chunks a batch, the bad run starts mid-batch and its
+        # step 70 sits in the batch's last column; with all in one batch, in
+        # its sixth
+        monkeypatch.setattr(stroboscopic, "_BLOCK_STEPS", block)
+        bad, n, source = _zero_step_case(value=np.nan)
+        good = make_params(1e6, 1.0, alpha=0.3)
+        real = stroboscopic._step_source
+        monkeypatch.setattr(stroboscopic, "_step_source", lambda params, engine: (
+            source() if params is bad else real(params, engine)))
+        named = r"non-finite operator at N=10000\.0,"  # not N=1000000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=named):
+                stroboscopic._propagate([(good, real(good, "exact"), n), (bad, source(), n)])
+            with pytest.raises(ValueError, match=named):
+                stroboscopic._final_readouts([good, bad], n)
+
     def test_carry_in_place_is_the_broadcast_product(self):
         # the same products and sums as the broadcast, so the same bits
         rng = np.random.default_rng(5)
