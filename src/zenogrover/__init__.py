@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 #: submodule -> the names the package exports from it
 _EXPORTS_BY_MODULE = {
     "model": (
-        "DampedTwoLevelModel",
         "RunRecord",
         "SearchParams",
         "grover_fidelity_closed_form",
@@ -39,7 +38,6 @@ _EXPORTS_BY_MODULE = {
     "effective": (
         "EffectiveHamiltonian",
         "continuous_heff",
-        "damped_eigenanalysis",
         "extract_step_hamiltonian",
         "unitary_approx_fidelity",
     ),

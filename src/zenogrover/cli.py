@@ -23,6 +23,13 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+# every matrix the engines factor or multiply is 2x2, so OpenBLAS's worker
+# pool never gets work: start none, unless the user sized it or numpy (and
+# with it the pool) is already loaded
+if "numpy" not in sys.modules and not (
+        {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from . import __version__

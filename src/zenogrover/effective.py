@@ -15,10 +15,6 @@ Three complementary views of the same dynamics:
 
 Both follow the exact engine's ancilla angle theta(t) = theta0 + a x t, with
 a x = dtheta/dt.
-
-The damped two-level model (coupling x, damping gamma on the residual) is the
-analytically solvable caricature used to read off the saturation regime; its
-biorthogonal eigensystem is exact.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import DampedTwoLevelModel, SearchParams
+from .model import SearchParams
 from .stroboscopic import StepSource, _expm_2x2
 
 __all__ = [
@@ -38,7 +34,6 @@ __all__ = [
     "extract_step_hamiltonian",
     "continuous_heff",
     "unitary_approx_fidelity",
-    "damped_eigenanalysis",
 ]
 
 
@@ -201,52 +196,3 @@ def unitary_approx_fidelity(n: int | np.ndarray, params: SearchParams) -> float 
     A = 0.5 * params.x * params.delta_t * (n + osc)
     return np.sin(A) ** 2
 
-
-def damped_eigenanalysis(x: float, gamma: float) -> DampedTwoLevelModel:
-    """Exact biorthogonal eigensystem of h = -x(|w><r|+|r><w|) - i gamma |r><r|.
-
-    Eigenvalues solve lam^2 + i gamma lam - x^2 = 0; their product is -x^2,
-    which makes the transpose-orthogonality phi_1^T phi_2 = x^2 + lam1 lam2
-    vanish identically away from the exceptional point gamma = 2x, where the
-    eigenvectors coalesce and the model is flagged degenerate.
-    """
-    if not x > 0:
-        raise ValueError(f"coupling x must be positive, got {x!r}")
-    if gamma < 0:
-        raise ValueError(f"damping gamma must be >= 0, got {gamma!r}")
-
-    root = np.sqrt(complex(4.0 * x * x - gamma * gamma))
-    e1 = 0.5 * (-1j * gamma + root)  # slow mode
-    e2 = 0.5 * (-1j * gamma - root)
-
-    norms_sq = (x * x + e1 * e1, x * x + e2 * e2)
-    if min(abs(norms_sq[0]), abs(norms_sq[1])) <= 1e-10 * x * x:
-        return DampedTwoLevelModel(
-            x=x,
-            gamma=gamma,
-            eigenvalues=(complex(e1), complex(e2)),
-            right_vectors=None,
-            left_vectors=None,
-            degenerate=True,
-        )
-
-    right = np.empty((2, 2), dtype=complex)
-    for i, (lam, nsq) in enumerate(zip((e1, e2), norms_sq)):
-        scale = 1.0 / np.sqrt(nsq)
-        right[:, i] = (x * scale, -lam * scale)
-    # h is complex symmetric, so left vectors are the conjugated right ones
-    left = right.conj()
-
-    s = np.array([x, math.sqrt(max(0.0, 1.0 - x * x))], dtype=complex)
-    overlap = complex(left[:, 0].conj() @ s)
-    asym = right[:, 0] / np.linalg.norm(right[:, 0])
-    return DampedTwoLevelModel(
-        x=x,
-        gamma=gamma,
-        eigenvalues=(complex(e1), complex(e2)),
-        right_vectors=right,
-        left_vectors=left,
-        degenerate=False,
-        overlap_s=overlap,
-        asymptotic_state=asym,
-    )

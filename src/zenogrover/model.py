@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "SearchParams",
     "RunRecord",
-    "DampedTwoLevelModel",
     "make_params",
     "overlap_x",
     "grover_step_count",
@@ -240,28 +239,6 @@ class RunRecord:
     @property
     def final_survival(self) -> float:
         return float(self.survival[-1])
-
-
-@dataclass(frozen=True)
-class DampedTwoLevelModel:
-    """Spectral data of the damped two-level generator
-    h = -x(|w><r| + |r><w|) - i*gamma |r><r|.
-
-    Eigenvalues are (-i*gamma +/- sqrt(4x^2 - gamma^2))/2, ordered so the
-    first is the slowly decaying mode.  Right/left eigenvectors are stored
-    as columns, normalized biorthogonally (<chi_n|phi_m> = delta_nm).  At the
-    exceptional point gamma = 2x the eigenvectors coalesce: ``degenerate`` is
-    set and the vector fields are None.
-    """
-
-    x: float
-    gamma: float
-    eigenvalues: tuple[complex, complex]
-    right_vectors: Optional[np.ndarray]
-    left_vectors: Optional[np.ndarray]
-    degenerate: bool = False
-    overlap_s: Optional[complex] = None
-    asymptotic_state: Optional[np.ndarray] = None
 
 
 def parallel_map(fn: Callable, work: Sequence, jobs: int) -> list:

@@ -3,7 +3,7 @@ only on purpose.
 
 Usage (from the root of a source checkout):
 
-    python3 tests/golden/hash_outputs.py [--src DIR] [--keep DIR]
+    python3 tests/golden/hash_outputs.py [--src DIR] [--keep DIR] [--manifest PATH]
 
 Each command runs as a fresh ``python -m zenogrover.cli ... --jobs 1``
 process against the package in ``--src`` (default: this checkout's
@@ -21,6 +21,14 @@ The commands are the benchmark's ``recipes`` and ``effective`` workloads and
 its ``oracle`` workload at seeds 0 and 1, read from perfbench/workloads.py,
 plus :data:`EXTRA`.  ``--keep DIR`` writes the tables to DIR and keeps them,
 for a comparison of values where bytes move on purpose.
+
+``--manifest PATH`` runs only the commands of :data:`MANIFEST` and writes
+their hashes as JSON to PATH, with each command's argv (the output
+directory written ``<out>``) and a :func:`fingerprint` of the interpreter,
+numpy and the CPU.  ``tests/test_manifest.py`` runs the same argv in process
+and compares the hashes where the fingerprint matches; regenerate
+``tests/golden/manifest.json`` with this mode in the change that moves a
+byte on purpose, and say which in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -28,7 +36,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -94,6 +104,14 @@ EXTRA = (
         "run --engine effective --n 1e6 --dt 1 --eps 1e200 --steps 5".split()), writes=False),
 )
 
+#: the commands of the manifest, each under a second in process: the 11
+#: recipes, both verify defaults, the hdown-sign fault run at N = 32 and the
+#: effective engine's comparison at N = 1e8
+MANIFEST = (
+    *(cmd.name for cmd in workloads.RECIPES),
+    "verify", "verify_n4", "verify_fault.seed0", "eff_compare",
+)
+
 
 def commands() -> Iterator[Command]:
     yield from workloads.commands("recipes", workloads.DEFAULT_SEED)
@@ -108,16 +126,36 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else "-"
 
 
-def hash_outputs(src: Path, outdir: Path) -> Iterator[str]:
-    """Run every command against the package in ``src``, writing to
-    ``outdir``, and yield its line."""
+def fingerprint() -> dict:
+    """What a hash of the outputs depends on beyond the source: the Python
+    and numpy versions and the CPU features numpy dispatches on."""
+    import numpy
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "cpu_features": __cpu_features__}
+
+
+def output_hashes(outdir: Path, name: str, writes: bool, code: str, stdout: bytes) -> dict:
+    """The hashed outputs of the command ``name`` that ran into ``outdir``."""
+    table = outdir / f"{name}.csv"
+    sidecar = table.with_name(table.name + ".meta.json")
+    return {
+        "exit": code,
+        "stdout": hashlib.sha256(stdout.replace(str(outdir).encode(), b"<out>")).hexdigest(),
+        "table": _sha256(table) if writes else "-",
+        "sidecar": _sha256(sidecar) if writes else "-",
+    }
+
+
+def run_commands(src: Path, outdir: Path, cmds) -> Iterator[tuple[Command, dict]]:
+    """Run each command against the package in ``src``, writing to
+    ``outdir``, and yield it with its :func:`output_hashes`."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("ZENOGROVER_OUTDIR", None)
-    for cmd in commands():
-        table = outdir / f"{cmd.name}.csv"
-        sidecar = table.with_name(table.name + ".meta.json")
-        for path in (table, sidecar):  # no output of an earlier run counts
-            path.unlink(missing_ok=True)
+    for cmd in cmds:
+        for suffix in (".csv", ".csv.meta.json"):  # no output of an earlier run counts
+            (outdir / f"{cmd.name}{suffix}").unlink(missing_ok=True)
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "zenogrover.cli", *cmd.argv(str(outdir))],
@@ -126,11 +164,20 @@ def hash_outputs(src: Path, outdir: Path) -> Iterator[str]:
             code, stdout = str(proc.returncode), proc.stdout
         except subprocess.TimeoutExpired as exc:  # the child is killed
             code, stdout = "timeout", exc.stdout or b""
-        stdout = stdout.replace(str(outdir).encode(), b"<out>")
-        yield " ".join([
-            cmd.name, code, hashlib.sha256(stdout).hexdigest(),
-            _sha256(table) if cmd.writes else "-", _sha256(sidecar) if cmd.writes else "-",
-        ])
+        yield cmd, output_hashes(outdir, cmd.name, cmd.writes, code, stdout)
+
+
+def manifest(src: Path, outdir: Path) -> dict:
+    """The manifest of the :data:`MANIFEST` commands run against ``src``."""
+    by_name = {cmd.name: cmd for cmd in commands()}
+    cmds = [by_name[name] for name in MANIFEST]
+    return {
+        "fingerprint": fingerprint(),
+        "commands": [
+            {"name": cmd.name, "argv": cmd.argv("<out>"), "writes": cmd.writes, **hashes}
+            for cmd, hashes in run_commands(src, outdir, cmds)
+        ],
+    }
 
 
 def main() -> None:
@@ -138,12 +185,18 @@ def main() -> None:
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the directory that holds the zenogrover package")
     parser.add_argument("--keep", type=Path, help="write the outputs here and keep them")
+    parser.add_argument("--manifest", type=Path,
+                        help="write the manifest of the MANIFEST commands here")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         outdir = (args.keep or Path(tmp)).resolve()
         outdir.mkdir(parents=True, exist_ok=True)
-        for line in hash_outputs(args.src.resolve(), outdir):
-            print(line, flush=True)
+        if args.manifest:
+            text = json.dumps(manifest(args.src.resolve(), outdir), indent=1)
+            args.manifest.write_text(text + "\n")
+            return
+        for cmd, hashes in run_commands(args.src.resolve(), outdir, commands()):
+            print(cmd.name, *hashes.values(), flush=True)
 
 
 if __name__ == "__main__":

@@ -669,9 +669,10 @@ class TestEffCompare:
 #: runs ``sys.argv[2:]`` in this process, through the ``__main__`` path of
 #: ``zenogrover.cli`` (what ``python -m zenogrover.cli`` runs) if
 #: ``sys.argv[1]`` is "entry", else through ``main()``; the last stdout line
-#: reports the exit code, the collector's frozen count and the modules loaded
+#: reports the exit code, the collector's frozen count, the modules loaded
+#: and the process's thread count (None where /proc/self/task is missing)
 CHILD = """
-import gc, json, runpy, sys
+import gc, json, os, runpy, sys
 how, argv = sys.argv[1], sys.argv[2:]
 if how == "entry":
     sys.argv = ["zenogrover", *argv]
@@ -682,7 +683,9 @@ if how == "entry":
 else:
     import zenogrover.cli
     code = zenogrover.cli.main(argv)
-print(json.dumps({"code": code, "frozen": gc.get_freeze_count(), "loaded": sorted(sys.modules)}))
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps({"code": code, "frozen": gc.get_freeze_count(), "loaded": sorted(sys.modules),
+                  "threads": threads}))
 """
 
 ENGINES = {"zenogrover.effective", "zenogrover.fullspace", "zenogrover.scaling"}
@@ -690,10 +693,11 @@ ENGINES = {"zenogrover.effective", "zenogrover.fullspace", "zenogrover.scaling"}
 
 class TestStartup:
     @staticmethod
-    def _child(how, *argv):
-        """Run CHILD in a fresh process; the command must exit 0."""
+    def _child(how, *argv, **extra_env):
+        """Run CHILD in a fresh process, with ``extra_env`` added to this
+        process's environment; the command must exit 0."""
         # the child must import the same package as this test process
-        env = dict(os.environ)
+        env = dict(os.environ, **extra_env)
         src = str(Path(zenogrover.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
@@ -749,6 +753,18 @@ class TestStartup:
         report = self._child("entry", "verify", "--n", "4", "--steps", "5")
         assert "zenogrover.fullspace" in report["loaded"]
         assert "zenogrover.effective" not in report["loaded"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                        reason="needs /proc/self/task and two CPUs for a BLAS worker")
+    @pytest.mark.parametrize("extra_env, threads", [
+        ({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2),
+    ])
+    def test_the_process_starts_no_blas_pool_unless_asked(self, extra_env, threads, monkeypatch):
+        # every matrix is 2x2, so a CLI process runs on its main thread alone;
+        # a pool size the user set wins
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        assert self._child("entry", "--version", **extra_env)["threads"] == threads
 
     def test_only_the_process_entry_freezes_the_heap(self):
         assert self._child("entry", "--version")["frozen"] > 0

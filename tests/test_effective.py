@@ -4,15 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from zenogrover.effective import (
-    continuous_heff,
-    damped_eigenanalysis,
-    extract_step_hamiltonian,
-    unitary_approx_fidelity,
-)
+from zenogrover.effective import continuous_heff, extract_step_hamiltonian, unitary_approx_fidelity
 from zenogrover import effective, stroboscopic
 from zenogrover.model import make_params, overlap_x
 from zenogrover.stroboscopic import run_protocol, step_operator
@@ -335,81 +328,3 @@ class TestUnitaryApprox:
             exact = run_protocol(p, 2000)
             f11 = unitary_approx_fidelity(exact.steps, p)
             assert np.max(np.abs(f11 - exact.fidelity)) <= 0.01
-
-
-class TestDampedModel:
-    def test_undamped_rabi_pair(self):
-        m = damped_eigenanalysis(0.01, 0.0)
-        assert sorted(e.real for e in m.eigenvalues) == pytest.approx(
-            [-0.01, 0.01], abs=1e-15
-        )
-        assert all(abs(e.imag) < 1e-15 for e in m.eigenvalues)
-
-    @given(
-        x=st.floats(min_value=1e-6, max_value=1.0),
-        ratio=st.floats(min_value=0.0, max_value=10.0),
-    )
-    @settings(max_examples=150)
-    def test_eigenvalues_solve_characteristic_polynomial(self, x, ratio):
-        gamma = ratio * x
-        m = damped_eigenanalysis(x, gamma)
-        for lam in m.eigenvalues:
-            assert abs(lam * lam + 1j * gamma * lam - x * x) < 1e-12
-            assert lam.imag <= 1e-15
-
-    def test_overdamped_asymptotics(self):
-        x, gamma = 1e-3, 0.1  # gamma = 100 x
-        m = damped_eigenanalysis(x, gamma)
-        e1, e2 = m.eigenvalues
-        assert e1 == pytest.approx(-1j * x * x / gamma, rel=2 * (x / gamma) ** 2)
-        assert e2 == pytest.approx(-1j * gamma, rel=2 * (x / gamma) ** 2)
-        # asymptotic state is the target with an O(x/gamma) admixture
-        assert abs(m.asymptotic_state[0]) > 1 - (x / gamma) ** 2
-        assert abs(m.asymptotic_state[1]) < 2 * x / gamma
-        assert abs(m.overlap_s) < 2 * x * math.sqrt(1 + 1 / gamma**2)
-
-    def test_biorthonormality(self):
-        for x, gamma in [(0.5, 0.2), (1e-3, 1e-4), (0.2, 0.39), (0.1, 0.5)]:
-            m = damped_eigenanalysis(x, gamma)
-            gram = m.left_vectors.conj().T @ m.right_vectors
-            np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
-
-    def test_eigenvectors_satisfy_eigenproblem(self):
-        x, gamma = 0.3, 0.25
-        m = damped_eigenanalysis(x, gamma)
-        h = np.array([[0.0, -x], [-x, -1j * gamma]])
-        for i in (0, 1):
-            resid = h @ m.right_vectors[:, i] - m.eigenvalues[i] * m.right_vectors[:, i]
-            assert np.max(np.abs(resid)) < 1e-12
-
-    def test_exceptional_point_flagged(self):
-        m = damped_eigenanalysis(0.25, 0.5)
-        assert m.degenerate
-        assert m.right_vectors is None and m.left_vectors is None
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            damped_eigenanalysis(0.0, 0.1)
-        with pytest.raises(ValueError):
-            damped_eigenanalysis(0.1, -0.1)
-
-
-class TestDampedMapping:
-    def test_frozen_envelope_matches_closed_form(self):
-        # time-independent generator with the damping frozen at full strength:
-        # its exact propagator must agree with the biorthogonal closed form
-        p = make_params(1e6, k=1, tau=0.2, alpha=0.3)
-        x = p.x
-        gamma = 2.0 * p.tau**2 / p.delta_t
-        h = np.array([[0.0, -x], [-x, -1j * gamma]])
-        psi0 = np.array([x, math.sqrt(1 - x * x)], dtype=complex)
-        t_final = 2000.0
-        final = scipy.linalg.expm(-1j * h * t_final) @ psi0
-
-        m = damped_eigenanalysis(x, gamma)
-        coeff = m.left_vectors.conj().T @ psi0
-        closed = (
-            m.right_vectors
-            @ (np.exp(-1j * np.array(m.eigenvalues) * t_final) * coeff)
-        )
-        np.testing.assert_allclose(final, closed, atol=1e-8)
