@@ -14,6 +14,16 @@ import importlib
 
 __version__ = "0.1.0"
 
+# the names the CLI's flag table needs, defined here so that parsing loads no
+# numpy; ``stroboscopic``, ``model`` and ``fullspace`` re-export them
+
+#: the engines that run a protocol; :func:`stroboscopic._step_source` defines them
+ENGINES = ("exact", "effective")
+#: the named faults of the exact engine, defined there too
+FAULTS = ("hdown-sign",)
+#: steps of every full-space equivalence case unless it names its own
+EQUIVALENCE_STEPS = 200
+
 #: submodule -> the names the package exports from it
 _EXPORTS_BY_MODULE = {
     "model": (

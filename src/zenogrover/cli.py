@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 # every matrix the engines factor or multiply is 2x2, so OpenBLAS's worker
 # pool never gets work: start none, unless the user sized it or numpy (and
@@ -30,20 +30,15 @@ if "numpy" not in sys.modules and not (
         {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
+from . import ENGINES, EQUIVALENCE_STEPS, FAULTS, __version__
 
-from . import __version__
-from .model import (
-    EQUIVALENCE_STEPS,
-    SearchParams,
-    grover_fidelity_closed_form,
-    make_params,
-)
-from .stroboscopic import ENGINES, FAULTS, _final_readouts, run_protocol
+if TYPE_CHECKING:
+    from .model import SearchParams
 
-# every command runs the modules above; the effective engine, the full-space
-# oracle and the scaling planner are imported inside the commands that call
-# them, so a process compiles only the engines its command runs
+# numpy and the engines are imported inside the commands that run them, once
+# the arguments and the output path have been checked, so a process that
+# computes nothing (--version, --help, --print-config, a usage error) loads
+# neither, and a command loads only the engines it runs
 
 __all__ = ["RunConfig", "cmd_run", "cmd_sweep_dt", "cmd_sweep_eps",
            "cmd_plan_scale", "cmd_verify", "cmd_eff_compare", "main", "process_main"]
@@ -92,6 +87,8 @@ class RunConfig:
         return cls(**d)
 
     def build_params(self) -> SearchParams:
+        from .model import make_params
+
         if self.N is None:
             raise ValueError("missing database size (--n)")
         return make_params(
@@ -101,6 +98,8 @@ class RunConfig:
 
 
 def _fmt(v) -> str:
+    import numpy as np
+
     if isinstance(v, (bool, np.bool_)):
         return str(bool(v)).lower()
     if isinstance(v, (int, np.integer)):
@@ -122,6 +121,8 @@ def _column(values: Sequence) -> tuple[str, Sequence]:
     formats, by the kind of its numpy dtype: ``%d`` for ints, ``%.17g`` for
     floats, and the text of :func:`_fmt` (true/false) for any other column,
     such as ints beyond int64, which numpy holds as objects."""
+    import numpy as np
+
     array = np.asarray(values)
     if array is not values and array.dtype.kind == "f" and any(
         isinstance(v, (int, np.integer)) for v in values
@@ -143,6 +144,8 @@ def _write_table(
     """Write the table to ``config.out`` and its sidecar next to it.  Rows go
     out in blocks of _ROWS_PER_WRITE, each row one %-format, so no full text
     of the table is built; the bytes are those of :func:`_fmt` on every cell."""
+    import numpy as np
+
     path = Path(config.out)
     cfg = config.to_dict()
     header = [f"# zenogrover version={__version__}"]
@@ -170,6 +173,8 @@ def _write_table(
 
 def cmd_run(config: RunConfig) -> int:
     """One trajectory: columns n, t, f, P, d."""
+    from .stroboscopic import run_protocol
+
     params = config.build_params()
     record = run_protocol(params, config.steps, engine=config.engine)
     summary = {
@@ -196,6 +201,10 @@ def cmd_run(config: RunConfig) -> int:
 def cmd_sweep_dt(config: RunConfig) -> int:
     """Distance from unitarity of the accumulated process across a dt grid,
     the whole grid read in one pass of the kernel."""
+    import numpy as np
+
+    from .stroboscopic import _final_readouts
+
     if config.grid is None:
         raise ValueError("sweep-dt needs --grid lo:hi:count")
     dts = [float(dt) for dt in np.linspace(*config.grid)]
@@ -215,6 +224,8 @@ def cmd_sweep_dt(config: RunConfig) -> int:
 
 def cmd_sweep_eps(config: RunConfig) -> int:
     """Quality-factor sweep over a detuning grid given in units of x."""
+    import numpy as np
+
     from .scaling import quality_factor_sweep
 
     if config.grid is None:
@@ -308,11 +319,15 @@ def cmd_plan_scale(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     """Subspace-vs-fullspace equivalence suite plus unitary-limit regression."""
+    import numpy as np
+
     from .fullspace import (
         EQUIVALENCE_TOLERANCE,
         default_equivalence_cases,
         equivalence_suite,
     )
+    from .model import grover_fidelity_closed_form, make_params
+    from .stroboscopic import run_protocol
 
     steps = config.steps if config.steps is not None else EQUIVALENCE_STEPS
     if config.N is None:
@@ -376,7 +391,10 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_eff_compare(config: RunConfig) -> int:
     """Aligned fidelity series from the exact, continuous-effective, and
     closed-form engines, with pairwise max deviations."""
+    import numpy as np
+
     from .effective import unitary_approx_fidelity
+    from .stroboscopic import run_protocol
 
     params = config.build_params()
     exact = run_protocol(params, config.steps)
@@ -475,11 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
 _OUT_OPTIONAL = ("plan-scale", "verify")
 
 
-def run_config(config: RunConfig) -> int:
+def run_config(config: RunConfig, *, freeze: bool = False) -> int:
     """Dispatch a resolved config; returns the process exit code.  The output
     path is resolved into ``config.out`` and its directory made before the
     command runs, so a path whose directory cannot be made, or whose table or
-    sidecar names a directory, exits 2 before any work is done."""
+    sidecar names a directory, exits 2 before any work is done, and before
+    numpy is loaded.  With ``freeze``, the collector's heap is frozen once the
+    modules every command runs are loaded (see :func:`process_main`)."""
     try:
         if config.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {config.jobs}")
@@ -491,6 +511,10 @@ def run_config(config: RunConfig) -> int:
                 if target.is_dir():  # the message that opening it would give
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
             config = replace(config, out=str(path))
+        from . import stroboscopic  # noqa: F401  (every command runs it, numpy and model)
+
+        if freeze:
+            gc.freeze()
         return _COMMANDS[config.mode][0](config)
     except (ValueError, OSError, MemoryError) as exc:
         # MemoryError: a step count too large to record, e.g. N = 1e30 at k = 1
@@ -498,28 +522,29 @@ def run_config(config: RunConfig) -> int:
         return 2
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Optional[Sequence[str]] = None, *, freeze: bool = False) -> int:
     fields = vars(build_parser().parse_args(argv))
     print_config = fields.pop("print_config", False)
     config = RunConfig(**fields)
     if print_config:
         print(json.dumps(config.to_dict(include_execution=True), sort_keys=True, indent=2))
         return 0
-    return run_config(config)
+    return run_config(config, freeze=freeze)
 
 
 def process_main() -> None:
     """Entry point of a CLI process, ``python -m zenogrover.cli`` and the
     ``zenogrover`` script alike: run :func:`main` and exit with its code.
 
-    The objects the imports made live until the process exits, so they are
-    moved out of the collector's reach first (``gc.freeze``): no collection,
-    during the command or at exit, walks them again, and a ``--jobs`` fan-out
-    forks with their pages still shared.  Reference counting, stdout flushing
-    and ``atexit`` are unaffected; in-process callers of :func:`main` leave
-    the collector as it is."""
-    gc.freeze()
-    sys.exit(main())
+    The objects that numpy and the engines' imports made live until the
+    process exits, so once they are loaded, and before the command runs,
+    they are moved out of the collector's reach (``gc.freeze``): no
+    collection, during the command or at exit, walks them again, and a
+    ``--jobs`` fan-out forks with their pages still shared.  A process that
+    exits before a command runs loads and freezes nothing.  Reference
+    counting, stdout flushing and ``atexit`` are unaffected; in-process
+    callers of :func:`main` leave the collector as it is."""
+    sys.exit(main(freeze=True))
 
 
 if __name__ == "__main__":

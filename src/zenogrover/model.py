@@ -15,6 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import EQUIVALENCE_STEPS  # noqa: F401  (fullspace imports it from here)
+
 __all__ = [
     "SearchParams",
     "RunRecord",
@@ -28,8 +30,6 @@ __all__ = [
 
 #: survival probabilities below this are frozen to zero and flagged
 SURVIVAL_FLOOR = 1e-300
-#: steps of every full-space equivalence case unless it names its own
-EQUIVALENCE_STEPS = 200
 
 
 def overlap_x(N: float) -> float:

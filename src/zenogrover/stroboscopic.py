@@ -55,6 +55,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import ENGINES, FAULTS
 from .model import SURVIVAL_FLOOR, RunRecord, SearchParams, parallel_map
 
 __all__ = [
@@ -65,13 +66,6 @@ __all__ = [
     "run_protocol",
     "final_readout",
 ]
-
-
-#: the engines that run a protocol; :func:`_step_source` defines them
-ENGINES = ("exact", "effective")
-
-#: the named faults of the exact engine, defined there too
-FAULTS = ("hdown-sign",)
 
 
 def _expm_2x2(a, t00, t01, w, t: float) -> np.ndarray:

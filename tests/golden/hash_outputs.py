@@ -54,7 +54,7 @@ from workloads import Command  # noqa: E402
 #: seconds a command may run before it is stopped
 TIMEOUT = 60
 
-#: the 22 commands beyond the benchmark's: both verify defaults, a
+#: the 24 commands beyond the benchmark's: both verify defaults, a
 #: deep-damping run at N = 4, a run at N = 2 whose quarter-turn steps
 #: (dtheta = pi/2) each shrink P by cos(dtheta)^2 ~ 4e-33, a long exact run,
 #: eq. 11 at a tiny rotation from theta0 != 0, the effective engine from
@@ -62,8 +62,9 @@ TIMEOUT = 60
 #: |tau| >= pi/2, a step count that overflows, an effective step beyond its
 #: substep limit, a plan given --alpha without --check, three step counts
 #: beyond 2**52, a verify N that is not an integer or beyond 2**20, and three
-#: whose steps overflow to operators that are not finite), and a plan whose
-#: k2_raw no double resolves
+#: whose steps overflow to operators that are not finite), a plan whose
+#: k2_raw no double resolves, and the resolved configs that ``run`` and
+#: ``sweep-dt`` print without running
 EXTRA = (
     Command("verify", ("verify",)),
     Command("verify_n4", tuple("verify --n 4 --steps 700".split())),
@@ -102,6 +103,10 @@ EXTRA = (
         "sweep-dt --n 1e6 --alpha 1e308 --grid 1:2:3".split()), writes=False),
     Command("run_effective_eps_overflow", tuple(
         "run --engine effective --n 1e6 --dt 1 --eps 1e200 --steps 5".split()), writes=False),
+    Command("run_print_config", tuple(
+        "run --n 1e6 --k 1 --tau 0.2 --alpha 0.3 --print-config".split()), writes=False),
+    Command("sweep_dt_print_config", tuple(
+        "sweep-dt --n 1e10 --alpha 0.3 --grid 2.9:3.4:21 --print-config".split()), writes=False),
 )
 
 #: the commands of the manifest, each under a second in process: the 11

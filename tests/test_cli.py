@@ -691,11 +691,15 @@ print(json.dumps({"code": code, "frozen": gc.get_freeze_count(), "loaded": sorte
 ENGINES = {"zenogrover.effective", "zenogrover.fullspace", "zenogrover.scaling"}
 
 
+#: a run of the exact engine, written to ``{out}``
+RUN = ["run", "--n", "1e4", "--k", "1", "--tau", "0.2", "--alpha", "0.3", "--out", "{out}"]
+
+
 class TestStartup:
     @staticmethod
-    def _child(how, *argv, **extra_env):
+    def _child(how, *argv, code=0, **extra_env):
         """Run CHILD in a fresh process, with ``extra_env`` added to this
-        process's environment; the command must exit 0."""
+        process's environment; the command must exit with ``code``."""
         # the child must import the same package as this test process
         env = dict(os.environ, **extra_env)
         src = str(Path(zenogrover.__file__).resolve().parents[1])
@@ -705,16 +709,35 @@ class TestStartup:
             env=env, check=True, timeout=60, capture_output=True, text=True,
         )
         report = json.loads(proc.stdout.splitlines()[-1])
-        assert report["code"] == 0, proc.stderr
+        assert report["code"] == code, proc.stderr
         return report
 
-    def test_cli_import_does_not_load_scipy(self):
-        assert "scipy" not in self._child("entry", "--version")["loaded"]
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], 0),
+        (["--help"], 0),
+        (["run", "--help"], 0),
+        (["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--print-config"], 0),
+        (["run", "--no-such-flag"], 2),
+        (["run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--jobs", "0"], 2),
+    ], ids=["version", "help", "run-help", "print-config", "unknown-flag", "jobs-0"])
+    def test_a_start_that_runs_no_command_loads_no_numpy(self, argv, code):
+        # parsing and the pre-flight checks need the standard library only
+        loaded = self._child("entry", *argv, code=code)["loaded"]
+        assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+        assert [m for m in loaded if m.startswith("zenogrover.")] == []
 
-    def test_cli_import_does_not_load_the_process_pool(self):
+    def _loaded_by_version_and_run(self, tmp_path) -> list[set]:
+        out = str(tmp_path / "run.csv")
+        return [set(self._child("entry", *argv)["loaded"])
+                for argv in (["--version"], [a.format(out=out) for a in RUN])]
+
+    def test_cli_import_does_not_load_scipy(self, tmp_path):
+        assert all("scipy" not in loaded for loaded in self._loaded_by_version_and_run(tmp_path))
+
+    def test_cli_import_does_not_load_the_process_pool(self, tmp_path):
         # only a fan-out (--jobs > 1) needs multiprocessing
-        loaded = self._child("entry", "--version")["loaded"]
-        assert "concurrent.futures.process" not in loaded
+        assert all("concurrent.futures.process" not in loaded
+                   for loaded in self._loaded_by_version_and_run(tmp_path))
 
     def test_verify_does_not_load_numpy_random(self):
         # the verify targets come from the standard library's generator
@@ -722,11 +745,11 @@ class TestStartup:
         assert "numpy.random" not in report["loaded"]
 
     @pytest.mark.parametrize("argv", [
-        ["--version"],
-        ["run", "--n", "1e4", "--k", "1", "--tau", "0.2", "--alpha", "0.3", "--out", "{out}"],
+        RUN,
+        ["sweep-dt", "--n", "1e4", "--alpha", "0.3", "--grid", "2.9:3.4:3", "--out", "{out}"],
     ])
     def test_exact_commands_load_no_other_engine(self, argv, tmp_path):
-        out = str(tmp_path / "run.csv")
+        out = str(tmp_path / "x.csv")
         report = self._child("entry", *[a.format(out=out) for a in argv])
         assert not ENGINES & set(report["loaded"])
         assert {"zenogrover.model", "zenogrover.stroboscopic"} <= set(report["loaded"])
@@ -764,10 +787,12 @@ class TestStartup:
         # a pool size the user set wins
         for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
-        assert self._child("entry", "--version", **extra_env)["threads"] == threads
+        report = self._child("entry", "verify", "--n", "2", "--steps", "3", **extra_env)
+        assert report["threads"] == threads
 
     def test_only_the_process_entry_freezes_the_heap(self):
-        assert self._child("entry", "--version")["frozen"] > 0
+        # the entry freezes numpy's and the engines' objects before the command
+        assert self._child("entry", "verify", "--n", "2", "--steps", "3")["frozen"] >= 20_000
         # in-process callers of main() keep the collector as it is
         assert self._child("main", "verify", "--n", "2", "--steps", "3")["frozen"] == 0
 
