@@ -79,13 +79,6 @@ class RunConfig:
                 del d[key]
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        if d.get("grid") is not None:
-            d["grid"] = tuple(d["grid"])
-        return cls(**d)
-
     def build_params(self) -> SearchParams:
         from .model import make_params
 

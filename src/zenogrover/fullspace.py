@@ -42,7 +42,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .model import EQUIVALENCE_STEPS, RunRecord, SearchParams, make_params, parallel_map
+from . import EQUIVALENCE_STEPS
+from .model import RunRecord, SearchParams, make_params, parallel_map
 from .stroboscopic import _run_protocols
 
 __all__ = [
@@ -230,7 +231,7 @@ def default_equivalence_cases(
 
 
 def equivalence_suite(
-    cases: Optional[list[EquivalenceCase]] = None, engine: str = "exact", jobs: int = 1
+    cases: list[EquivalenceCase], engine: str = "exact", jobs: int = 1
 ) -> list[EquivalenceResult]:
     """Compare the subspace ``engine`` against the full-space simulation case
     by case.  ``verify --inject-fault hdown-sign`` runs the suite against the
@@ -239,8 +240,6 @@ def equivalence_suite(
     batch, through the subspace engine and the full space, and the batches
     fan out to ``jobs`` worker processes; the results follow the case order
     either way."""
-    if cases is None:
-        cases = default_equivalence_cases()
     groups = [
         list(group) for _, group in groupby(cases, key=lambda c: (c.N, c.epsilon, c.steps))
     ]

@@ -15,8 +15,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import EQUIVALENCE_STEPS  # noqa: F401  (fullspace imports it from here)
-
 __all__ = [
     "SearchParams",
     "RunRecord",

@@ -284,8 +284,11 @@ def _read(runs: Sequence[tuple[SearchParams, StepSource, int]], record: bool) ->
     (:func:`_distance`) at steps 0, ..., n with ``record``, else (f, P, d) at
     step n, read by the same lines from the last row of the run's last chunk
     (identities pad it past step n), so the two agree bit for bit.  No
-    finite step has a norm above 1 and an annihilated one reads P = 0, so a
-    P that is not finite comes from a step that is not: its run raises."""
+    finite step has a norm above 1 up to rounding and an annihilated one
+    reads P = 0, so a P that is not finite comes from a step that is not:
+    its run raises.  The open exception is ROADMAP item 6: at eps = 1.7e308
+    the steps are finite with a norm above 1, and P grows (3.36 after 5
+    steps at N = 1e6, dt = 1) without raising."""
     params = [p for p, _, _ in runs]
     out = [np.empty((3, n + 1)) if record else None for _, _, n in runs]
     for p, fpd in zip(params, out if record else ()):  # step 0, the initial state

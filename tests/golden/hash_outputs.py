@@ -1,34 +1,37 @@
 """Hash the outputs of the commands whose bytes a change must keep, or move
-only on purpose.
+only on purpose, into one manifest.
 
 Usage (from the root of a source checkout):
 
-    python3 tests/golden/hash_outputs.py [--src DIR] [--keep DIR] [--manifest PATH]
+    python3 tests/golden/hash_outputs.py [--src DIR] [--keep DIR] PATH
 
-Each command runs as a fresh ``python -m zenogrover.cli ... --jobs 1``
-process against the package in ``--src`` (default: this checkout's
-``src``), stopped after :data:`TIMEOUT` seconds.  One line per command: its
-name, its exit code (``timeout`` for a stopped one), and the sha256 of
+Each command of :func:`commands` runs as a fresh ``python -m zenogrover.cli
+... --jobs 1`` process against the package in ``--src`` (default: this
+checkout's ``src``), stopped after :data:`TIMEOUT` seconds.  PATH gets one
+JSON manifest: a :func:`fingerprint` of the interpreter, numpy and the CPU,
+and for each command its name, its argv (the output directory written
+``<out>``), its exit code (``timeout`` for a stopped one) and the sha256 of
 its stdout (with the output directory masked), of its table and of its
-sidecar ("-" where it writes none).  The output directory is not part of the
-table or the sidecar, so two checkouts compare with a plain diff:
+sidecar ("-" where it writes none).  The output directory is not part of
+the table or the sidecar, so two checkouts compare with a plain diff:
 
-    python3 tests/golden/hash_outputs.py --src ../parent/src > parent.txt
-    python3 tests/golden/hash_outputs.py > change.txt
-    diff parent.txt change.txt
+    python3 tests/golden/hash_outputs.py --src ../parent/src parent.json
+    python3 tests/golden/hash_outputs.py change.json
+    diff parent.json change.json
 
 The commands are the benchmark's ``recipes`` and ``effective`` workloads and
 its ``oracle`` workload at seeds 0 and 1, read from perfbench/workloads.py,
 plus :data:`EXTRA`.  ``--keep DIR`` writes the tables to DIR and keeps them,
 for a comparison of values where bytes move on purpose.
 
-``--manifest PATH`` runs only the commands of :data:`MANIFEST` and writes
-their hashes as JSON to PATH, with each command's argv (the output
-directory written ``<out>``) and a :func:`fingerprint` of the interpreter,
-numpy and the CPU.  ``tests/test_manifest.py`` runs the same argv in process
-and compares the hashes where the fingerprint matches; regenerate
-``tests/golden/manifest.json`` with this mode in the change that moves a
-byte on purpose, and say which in CHANGES.md.
+``tests/test_manifest.py`` runs the same argv in process and compares the
+hashes with ``tests/golden/manifest.json`` where the fingerprint matches.
+A change that moves a byte on purpose regenerates that file:
+
+    python3 tests/golden/hash_outputs.py tests/golden/manifest.json
+
+and says in CHANGES.md which commands moved, as ``git diff`` of the file
+names them.
 """
 
 from __future__ import annotations
@@ -109,15 +112,6 @@ EXTRA = (
         "sweep-dt --n 1e10 --alpha 0.3 --grid 2.9:3.4:21 --print-config".split()), writes=False),
 )
 
-#: the commands of the manifest, each under a second in process: the 11
-#: recipes, both verify defaults, the hdown-sign fault run at N = 32 and the
-#: effective engine's comparison at N = 1e8
-MANIFEST = (
-    *(cmd.name for cmd in workloads.RECIPES),
-    "verify", "verify_n4", "verify_fault.seed0", "eff_compare",
-)
-
-
 def commands() -> Iterator[Command]:
     yield from workloads.commands("recipes", workloads.DEFAULT_SEED)
     yield from workloads.commands("effective", workloads.DEFAULT_SEED)
@@ -135,8 +129,14 @@ def fingerprint() -> dict:
     """What a hash of the outputs depends on beyond the source: the Python
     and numpy versions and the CPU features numpy dispatches on."""
     import numpy
-    from numpy._core._multiarray_umath import __cpu_features__
 
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        try:  # numpy 1.x
+            from numpy.core._multiarray_umath import __cpu_features__
+        except ImportError:
+            __cpu_features__ = {}  # none recorded: test_manifest.py skips
     return {"python": platform.python_version(), "numpy": numpy.__version__,
             "cpu_features": __cpu_features__}
 
@@ -173,14 +173,12 @@ def run_commands(src: Path, outdir: Path, cmds) -> Iterator[tuple[Command, dict]
 
 
 def manifest(src: Path, outdir: Path) -> dict:
-    """The manifest of the :data:`MANIFEST` commands run against ``src``."""
-    by_name = {cmd.name: cmd for cmd in commands()}
-    cmds = [by_name[name] for name in MANIFEST]
+    """The manifest of the :func:`commands` run against ``src``."""
     return {
         "fingerprint": fingerprint(),
         "commands": [
             {"name": cmd.name, "argv": cmd.argv("<out>"), "writes": cmd.writes, **hashes}
-            for cmd, hashes in run_commands(src, outdir, cmds)
+            for cmd, hashes in run_commands(src, outdir, commands())
         ],
     }
 
@@ -190,18 +188,13 @@ def main() -> None:
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the directory that holds the zenogrover package")
     parser.add_argument("--keep", type=Path, help="write the outputs here and keep them")
-    parser.add_argument("--manifest", type=Path,
-                        help="write the manifest of the MANIFEST commands here")
+    parser.add_argument("path", type=Path, help="write the manifest here")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         outdir = (args.keep or Path(tmp)).resolve()
         outdir.mkdir(parents=True, exist_ok=True)
-        if args.manifest:
-            text = json.dumps(manifest(args.src.resolve(), outdir), indent=1)
-            args.manifest.write_text(text + "\n")
-            return
-        for cmd, hashes in run_commands(args.src.resolve(), outdir, commands()):
-            print(cmd.name, *hashes.values(), flush=True)
+        text = json.dumps(manifest(args.src.resolve(), outdir), indent=1)
+    args.path.write_text(text + "\n")
 
 
 if __name__ == "__main__":

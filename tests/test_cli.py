@@ -877,8 +877,6 @@ class TestTableWriter:
 
 class TestRoundTrip:
     def test_sidecar_config_reproduces_file(self, tmp_path):
-        import dataclasses
-
         out = tmp_path / "rt.csv"
         rc = main([
             "run", "--n", "1e6", "--k", "1", "--tau", "0.2", "--alpha", "0.3",
@@ -886,9 +884,7 @@ class TestRoundTrip:
         ])
         assert rc == 0
         original = out.read_bytes()
-        config = dataclasses.replace(
-            RunConfig.from_dict(sidecar(out)["config"]), out=str(out)
-        )
+        config = RunConfig(**sidecar(out)["config"], out=str(out))
         out.unlink()
         assert run_config(config) == 0
         assert out.read_bytes() == original
